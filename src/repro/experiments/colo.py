@@ -30,13 +30,17 @@ deterministic: same tenants + config → bit-identical results, pinned by
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.core.session import SessionConfig, SharedRuntime
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentConfig, _gc_config
+from repro.experiments.common import (
+    ExperimentConfig,
+    _gc_config,
+    float_digest,
+    split_csv,
+)
 from repro.policies.modes import ModeConfig, mode as resolve_mode
 from repro.runtime.executor import CachedArraysAdapter, Executor, RunResult
 from repro.runtime.scheduler import StreamScheduler
@@ -54,6 +58,8 @@ __all__ = [
     "TenantSpec",
     "WORKLOADS",
     "DEFAULT_TENANTS",
+    "check_colo",
+    "from_args",
     "run_colo",
     "render",
 ]
@@ -145,20 +151,21 @@ class ColoResult:
         low = min(slowdowns)
         return max(slowdowns) / low if low > 0 else float("inf")
 
+    @property
+    def attributed_fraction(self) -> float:
+        """Share of movement-wait stall time blamed on a (tenant, object)."""
+        return self.attribution["attributed_fraction"]
+
     def digest(self) -> str:
         """A determinism fingerprint over every reported number."""
-        hasher = hashlib.sha256()
+        parts: list[str | float] = []
         for tenant in self.tenants:
-            hasher.update(tenant.name.encode())
-            hasher.update(float(tenant.solo_seconds).hex().encode())
-            hasher.update(float(tenant.colo_seconds).hex().encode())
-        hasher.update(float(self.makespan_seconds).hex().encode())
+            parts += [tenant.name, tenant.solo_seconds, tenant.colo_seconds]
+        parts.append(self.makespan_seconds)
         for device in sorted(self.traffic):
             snap = self.traffic[device]
-            hasher.update(
-                f"{device}:{snap.read_bytes}:{snap.write_bytes}".encode()
-            )
-        return hasher.hexdigest()
+            parts.append(f"{device}:{snap.read_bytes}:{snap.write_bytes}")
+        return float_digest(parts)
 
     def to_json(self) -> dict:
         scale = self.config.scale
@@ -168,9 +175,7 @@ class ColoResult:
             "makespan_seconds": round(self.makespan_seconds * scale, 3),
             "fairness": round(self.fairness, 4),
             "digest": self.digest(),
-            "attributed_stall_fraction": round(
-                self.attribution.get("attributed_fraction", 1.0), 4
-            ),
+            "attributed_stall_fraction": round(self.attributed_fraction, 4),
             "tenants": {
                 t.name: {
                     "solo_seconds": round(t.solo_seconds * scale, 3),
@@ -334,6 +339,31 @@ def run_colo(
     )
 
 
+def from_args(args, config: ExperimentConfig) -> ColoResult:
+    """``python -m repro colo``: co-run ``--tenants`` under ``--mode``."""
+    return run_colo(split_csv(args.tenants), config, mode_name=args.mode)
+
+
+# ``repro colo --check``: besides determinism, the co-run must be
+# explainable. Problems print under CHECK_FAIL; a clean run prints CHECK_PASS.
+CHECK_FAIL = "ATTRIBUTION FAIL"
+CHECK_PASS = (
+    "attribution: {result.attributed_fraction:.1%} of stall time attributed"
+)
+
+
+def check_colo(result: ColoResult) -> list[str]:
+    """At least 90% of movement-wait stall time must be attributed to a
+    specific (tenant, object) pair; returns the violations."""
+    fraction = result.attributed_fraction
+    if fraction < 0.9:
+        return [f"only {fraction:.1%} of stall time attributed (need >= 90%)"]
+    return []
+
+
+check = check_colo
+
+
 def render(result: ColoResult) -> str:
     """The text report ``python -m repro colo`` prints."""
     scale = result.config.scale
@@ -362,13 +392,13 @@ def render(result: ColoResult) -> str:
             f"{device} traffic: read {snap.read_bytes * scale / 1e9:.1f} GB, "
             f"wrote {snap.write_bytes * scale / 1e9:.1f} GB"
         )
-    fraction = result.attribution.get("attributed_fraction", 1.0)
-    total = result.attribution.get("total_stall_seconds", 0.0)
+    total = result.attribution["total_stall_seconds"]
     lines.append(
-        f"stall attribution: {fraction:.1%} of {total * scale:.3f} s of "
-        f"movement-wait attributed to (tenant, object) pairs"
+        f"stall attribution: {result.attributed_fraction:.1%} of "
+        f"{total * scale:.3f} s of movement-wait attributed to "
+        f"(tenant, object) pairs"
     )
-    for pair in result.attribution.get("pairs", [])[:6]:
+    for pair in result.attribution["pairs"][:6]:
         lines.append(
             f"  {pair['stream'] or '<unattributed>'}: {pair['object']} "
             f"{pair['seconds'] * scale:.3f} s"

@@ -11,7 +11,9 @@ numbers in EXPERIMENTS.md use moderate scales).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 from repro.core.session import Session, SessionConfig
 from repro.errors import ConfigurationError
@@ -31,16 +33,43 @@ from repro.telemetry.monitor import MonitorConfig, MonitorTracer, RuntimeMonitor
 from repro.twolm.system import TwoLMSystem
 from repro.units import GB
 from repro.workloads.annotate import annotate
+from repro.workloads.synthetic import filo_stack_trace
 from repro.workloads.trace import KernelTrace
 
 __all__ = [
     "ExperimentConfig",
     "ModeResult",
     "PreparedRun",
+    "available_models",
+    "float_digest",
+    "float_hex",
+    "mode_grid_json",
     "prepare_trace_mode",
     "run_mode",
     "run_modes",
+    "split_csv",
+    "trace_for",
 ]
+
+TINY = "tiny"
+
+
+def float_hex(value: float) -> str:
+    """A float at full precision, as text (``float.hex``)."""
+    return float(value).hex()
+
+
+def float_digest(parts: Iterable[str | float]) -> str:
+    """SHA-256 over ``parts``: strings as UTF-8, numbers as :func:`float_hex`.
+
+    The determinism fingerprint every ``--check`` contract compares.
+    """
+    hasher = hashlib.sha256()
+    for part in parts:
+        hasher.update(
+            (part if isinstance(part, str) else float_hex(part)).encode()
+        )
+    return hasher.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -140,15 +169,39 @@ class ModeResult:
         return snap.total_bytes / (self.seconds * peak)
 
 
-def _trace_for(model_key: str, config: ExperimentConfig) -> tuple[KernelTrace, int]:
+def split_csv(text: str) -> tuple[str, ...]:
+    """A comma-separated CLI list, blanks dropped (``"a, b,"`` -> a, b)."""
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def available_models() -> list[str]:
+    """Model keys :func:`trace_for` accepts (Table III plus ``tiny``)."""
+    return sorted([*MODEL_REGISTRY, TINY])
+
+
+def _tiny_trace() -> KernelTrace:
+    # A 12-layer FILO stack with ~360 GB peak footprint against 180 GB of
+    # DRAM: guaranteed movement, ~60 kernels, runs in well under a second.
+    return filo_stack_trace(
+        depth=12,
+        activation_bytes=24 * GB,
+        weight_bytes=2 * GB,
+        flops_per_layer=2e12,
+    )
+
+
+def trace_for(model: str, config: ExperimentConfig) -> KernelTrace:
+    """The scaled training trace for a model key: the one resolver every
+    model-taking command goes through (Table III keys plus ``tiny``)."""
+    if model == TINY:
+        return _tiny_trace().scaled(config.scale)
     try:
-        spec = MODEL_REGISTRY[model_key]
+        spec = MODEL_REGISTRY[model]
     except KeyError:
         raise ConfigurationError(
-            f"unknown model {model_key!r}; known: {sorted(MODEL_REGISTRY)}"
+            f"unknown model {model!r}; known: {', '.join(available_models())}"
         ) from None
-    trace = spec.builder().training_trace().scaled(config.scale)
-    return trace, trace.peak_live_bytes()
+    return spec.builder().training_trace().scaled(config.scale)
 
 
 def _gc_config(footprint: int, config: ExperimentConfig) -> GcConfig:
@@ -296,7 +349,7 @@ def run_mode(
     model_key: str, mode_name: str | ModeConfig, config: ExperimentConfig
 ) -> ModeResult:
     """Run one Table III model under one operating mode."""
-    trace, _ = _trace_for(model_key, config)
+    trace = trace_for(model_key, config)
     return run_trace_mode(trace, mode_name, config, model_label=model_key)
 
 
@@ -304,8 +357,35 @@ def run_modes(
     model_key: str, mode_names: list[str], config: ExperimentConfig
 ) -> dict[str, ModeResult]:
     """Run one model across several modes (fresh system per mode)."""
-    trace, _ = _trace_for(model_key, config)
+    trace = trace_for(model_key, config)
     return {
         name: run_trace_mode(trace, name, config, model_label=model_key)
         for name in mode_names
     }
+
+
+def mode_grid_json(
+    results: dict[str, dict[str, ModeResult]],
+    scale: int,
+    *,
+    utilization: bool = False,
+) -> dict:
+    """The ``--json`` summary of a model x mode grid (Figures 2, 5, 6)."""
+    out: dict = {}
+    for model, by_mode in results.items():
+        out[model] = {}
+        for mode, mode_result in by_mode.items():
+            iteration = mode_result.iteration
+            entry = {
+                "seconds": round(iteration.seconds * scale, 2),
+                "traffic_gb": {
+                    device: [round(v, 1) for v in mode_result.traffic_gb(device)]
+                    for device in iteration.traffic
+                },
+            }
+            if utilization:
+                entry["dram_utilization"] = round(
+                    mode_result.dram_utilization(), 4
+                )
+            out[model][mode] = entry
+    return out

@@ -47,6 +47,20 @@ class ExtensionsResult:
     dlrm: dict[str, dict[str, IterationResult]] = field(default_factory=dict)
     numa: dict[str, IterationResult] = field(default_factory=dict)
 
+    def to_json(self) -> dict:
+        scale = self.config.scale
+        return {
+            "platforms_seconds": {
+                label: round(it.seconds * scale, 1)
+                for label, it in self.platforms.items()
+            },
+            "async_seconds": self.async_movement,
+            "numa_seconds": {
+                label: round(it.seconds * scale, 1)
+                for label, it in self.numa.items()
+            },
+        }
+
 
 def _execute(
     devices: list[MemoryDevice],
@@ -214,10 +228,3 @@ def render(result: ExtensionsResult) -> str:
     sections.append(table(("policy", "iteration"), rows))
     return "\n".join(sections)
 
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import ExperimentConfig, ModeResult, run_modes
+from repro.experiments.common import (
+    ExperimentConfig,
+    ModeResult,
+    mode_grid_json,
+    run_modes,
+)
 from repro.experiments.report import bars, header, table
 
 __all__ = ["Fig2Result", "run", "render"]
@@ -36,6 +41,9 @@ class Fig2Result:
 
     def speedup(self, model: str, mode: str = "CA:LM", base: str = "2LM:0") -> float:
         return self.seconds(model, base) / self.seconds(model, mode)
+
+    def to_json(self) -> dict:
+        return mode_grid_json(self.results, self.config.scale)
 
 
 def run(
@@ -80,10 +88,3 @@ def render(result: Fig2Result) -> str:
         )
     return "\n".join(sections)
 
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -31,6 +31,16 @@ class Fig3Result:
     def peak_gb(self, mode_result: ModeResult) -> float:
         return self.heap_timeline(mode_result).peak() * self.config.scale / GB
 
+    def to_json(self) -> dict:
+        return {
+            "model": self.model,
+            "peak_heap_gb": {
+                "2LM:0": round(self.peak_gb(self.unoptimized), 1),
+                "2LM:M": round(self.peak_gb(self.optimized), 1),
+            },
+            "gc_collections_2lm0": self.unoptimized.iteration.gc_collections,
+        }
+
 
 def run(
     config: ExperimentConfig | None = None, *, model: str = "resnet200-large"
@@ -76,10 +86,3 @@ def render(result: Fig3Result) -> str:
     ]
     return "\n".join(sections)
 
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -40,6 +40,19 @@ class Fig4Result:
         base = self.stats(self.unoptimized).dirty_miss_rate
         return (base - self.stats(self.optimized).dirty_miss_rate) / base
 
+    def to_json(self) -> dict:
+        return {
+            label: {
+                "hit_rate": round(stats.hit_rate, 4),
+                "clean_miss_rate": round(stats.clean_miss_rate, 4),
+                "dirty_miss_rate": round(stats.dirty_miss_rate, 4),
+            }
+            for label, stats in (
+                ("2LM:0", self.stats(self.unoptimized)),
+                ("2LM:M", self.stats(self.optimized)),
+            )
+        }
+
 
 def run(
     config: ExperimentConfig | None = None, *, model: str = "resnet200-large"
@@ -83,10 +96,3 @@ def render(result: Fig4Result) -> str:
         ]
     )
 
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,7 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import ExperimentConfig, ModeResult, run_modes
+from repro.experiments.common import (
+    ExperimentConfig,
+    ModeResult,
+    mode_grid_json,
+    run_modes,
+)
 from repro.experiments.report import header, table
 
 __all__ = ["Fig5Result", "run", "render"]
@@ -44,6 +49,9 @@ class Fig5Result:
         reads_lm, _ = self.gb(model, "CA:LM", "NVRAM")
         reads_lmp, _ = self.gb(model, "CA:LMP", "NVRAM")
         return reads_lm / reads_lmp if reads_lmp else float("inf")
+
+    def to_json(self) -> dict:
+        return mode_grid_json(self.results, self.config.scale)
 
 
 def run(
@@ -90,10 +98,3 @@ def render(result: Fig5Result) -> str:
         )
     return "\n".join(sections)
 
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import ExperimentConfig, ModeResult, run_modes
+from repro.experiments.common import (
+    ExperimentConfig,
+    ModeResult,
+    mode_grid_json,
+    run_modes,
+)
 from repro.experiments.report import bars, header
 
 __all__ = ["Fig6Result", "run", "render"]
@@ -28,6 +33,11 @@ class Fig6Result:
 
     def utilization(self, model: str, mode: str) -> float:
         return self.results[model][mode].dram_utilization()
+
+    def to_json(self) -> dict:
+        return mode_grid_json(
+            self.results, self.config.scale, utilization=True
+        )
 
 
 def run(
@@ -60,10 +70,3 @@ def render(result: Fig6Result) -> str:
             )
     return "\n".join(sections)
 
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

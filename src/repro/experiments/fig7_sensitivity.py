@@ -45,6 +45,20 @@ class Fig7Result:
         full = max(self.budgets_gb)
         return self.seconds(model, 0) / self.seconds(model, full)
 
+    def to_json(self) -> dict:
+        return {
+            model: {
+                str(budget): {
+                    "wall_seconds": round(self.seconds(model, budget), 2),
+                    "async_projection_seconds": round(
+                        self.async_seconds(model, budget), 2
+                    ),
+                }
+                for budget in self.budgets_gb
+            }
+            for model in self.results
+        }
+
 
 def run(
     config: ExperimentConfig | None = None,
@@ -92,10 +106,3 @@ def render(result: Fig7Result) -> str:
         )
     return "\n".join(sections)
 
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -37,7 +37,6 @@ config → bit-identical results, pinned by :meth:`ServingResult.digest`
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
 from collections import deque
@@ -48,7 +47,13 @@ import numpy as np
 
 from repro.core.session import Session, SessionConfig, SharedRuntime
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentConfig, _gc_config
+from repro.experiments.common import (
+    ExperimentConfig,
+    _gc_config,
+    float_digest,
+    float_hex,
+    split_csv,
+)
 from repro.policies.modes import ModeConfig, mode as resolve_mode
 from repro.runtime.executor import CachedArraysAdapter, Executor
 from repro.runtime.scheduler import StreamScheduler
@@ -76,6 +81,7 @@ __all__ = [
     "request_trace",
     "run_serving",
     "check_serving",
+    "from_args",
     "render",
 ]
 
@@ -347,26 +353,23 @@ class ServingResult:
 
     def digest(self) -> str:
         """Determinism fingerprint over every per-request outcome."""
-        hasher = hashlib.sha256()
+        parts: list[str | float] = []
         for name in sorted(self.solo_seconds):
-            hasher.update(name.encode())
-            hasher.update(float(self.solo_seconds[name]).hex().encode())
+            parts += [name, self.solo_seconds[name]]
         for point in self.points:
-            hasher.update(float(point.rate).hex().encode())
+            parts.append(point.rate)
             for req in point.requests:
                 finish = -1.0 if req.finish_time is None else req.finish_time
                 admit = -1.0 if req.admit_time is None else req.admit_time
-                hasher.update(
+                parts.append(
                     f"{req.name}:{req.cls.name}:{req.outcome}:"
-                    f"{float(req.arrival).hex()}:{float(admit).hex()}:"
-                    f"{float(finish).hex()}".encode()
+                    f"{float_hex(req.arrival)}:{float_hex(admit)}:"
+                    f"{float_hex(finish)}"
                 )
             for device in sorted(point.traffic):
                 snap = point.traffic[device]
-                hasher.update(
-                    f"{device}:{snap.read_bytes}:{snap.write_bytes}".encode()
-                )
-        return hasher.hexdigest()
+                parts.append(f"{device}:{snap.read_bytes}:{snap.write_bytes}")
+        return float_digest(parts)
 
     def to_json(self) -> dict:
         scale = self.config.scale
@@ -875,6 +878,42 @@ def run_serving(
     )
 
 
+def from_args(args, config: ExperimentConfig) -> ServingResult:
+    """``python -m repro serve``. ``--check`` pins the documented 3-point
+    sweep (unless ``--rates`` overrides it): one point below saturation and
+    two past it, so the monotonicity gates see both sides of the knee."""
+    rates = None
+    if args.rates:
+        try:
+            rates = tuple(float(rate) for rate in split_csv(args.rates))
+        except ValueError:
+            raise ConfigurationError(
+                f"--rates must be comma-separated numbers, got {args.rates!r}"
+            ) from None
+    serving = ServingConfig(
+        slots=args.slots,
+        requests=args.requests,
+        seed=args.seed,
+        rates=rates,
+        rate_multipliers=(
+            CHECK_MULTIPLIERS
+            if args.check and rates is None
+            else ServingConfig.rate_multipliers
+        ),
+    )
+    return run_serving(config, serving, mode_name=args.mode)
+
+
+# ``repro serve --check``: besides determinism, the sweep must be shaped like
+# a saturating system. Problems print under CHECK_FAIL; a clean run prints
+# CHECK_PASS.
+CHECK_FAIL = "SWEEP-SHAPE FAIL"
+CHECK_PASS = (
+    "sweep shape: normalized p99 non-decreasing, goodput "
+    "non-increasing past saturation"
+)
+
+
 def check_serving(result: ServingResult) -> list[str]:
     """The `--check` gates beyond digest equality: sweep-shape sanity.
 
@@ -918,6 +957,9 @@ def check_serving(result: ServingResult) -> list[str]:
                 f"at {after.rate:.3f}"
             )
     return problems
+
+
+check = check_serving
 
 
 def render(result: ServingResult) -> str:

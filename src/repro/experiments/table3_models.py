@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.experiments.common import ExperimentConfig
 from repro.experiments.report import header, table
 from repro.nn.models import MODEL_REGISTRY, ModelSpec
 from repro.units import GB
@@ -37,8 +38,22 @@ class Table3Row:
 class Table3Result:
     rows: list[Table3Row] = field(default_factory=list)
 
+    def to_json(self) -> dict:
+        return {
+            row.spec.key: {
+                "batch": row.spec.batch,
+                "measured_footprint_bytes": row.measured_footprint,
+                "paper_footprint_bytes": row.spec.paper_footprint,
+                "kernels": row.kernels,
+            }
+            for row in self.rows
+        }
 
-def run() -> Table3Result:
+
+def run(config: ExperimentConfig | None = None) -> Table3Result:
+    """Measure every registered model. Table III depends on no platform
+    knob, so ``config`` is accepted (every experiment's ``run`` takes one)
+    and unused."""
     result = Table3Result()
     for spec in MODEL_REGISTRY.values():
         graph = spec.builder()
@@ -97,10 +112,3 @@ def render(result: Table3Result) -> str:
         ]
     )
 
-
-def main() -> None:  # pragma: no cover - CLI entry
-    print(render(run()))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

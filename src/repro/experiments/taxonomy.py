@@ -29,12 +29,16 @@ compares).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.errors import ConfigurationError
-from repro.experiments.common import ExperimentConfig, run_trace_mode
+from repro.experiments.common import (
+    ExperimentConfig,
+    float_digest,
+    run_trace_mode,
+    split_csv,
+)
 from repro.policies.modes import MODES
 from repro.telemetry.ledger import build_ledger
 from repro.telemetry.monitor import MonitorConfig
@@ -61,6 +65,7 @@ __all__ = [
     "WORKLOADS",
     "WorkloadSpec",
     "check_taxonomy",
+    "from_args",
     "render",
     "run_taxonomy",
 ]
@@ -181,28 +186,27 @@ class TaxonomyResult:
 
     def digest(self) -> str:
         """A determinism fingerprint over every reported number."""
-        hasher = hashlib.sha256()
+        parts: list[str | float] = []
         for cell in self.cells:
-            hasher.update(f"{cell.workload}|{cell.mode}|".encode())
-            hasher.update(float(cell.seconds).hex().encode())
-            hasher.update(cell.verdict.encode())
             decomposition = cell.taxonomy.decomposition
-            for value in (
+            parts += [
+                f"{cell.workload}|{cell.mode}|",
+                cell.seconds,
+                cell.verdict,
                 decomposition.compute,
                 decomposition.bandwidth,
                 decomposition.latency,
                 decomposition.capacity,
                 decomposition.unattributed,
-            ):
-                hasher.update(float(value).hex().encode())
-            hasher.update(
-                f"|{cell.taxonomy.copies}:{cell.taxonomy.copy_bytes}".encode()
-            )
+                f"|{cell.taxonomy.copies}:{cell.taxonomy.copy_bytes}",
+            ]
         for workload in sorted(self.monitor_taxonomies):
             taxonomy = self.monitor_taxonomies[workload]
-            hasher.update(f"mon|{workload}|{taxonomy.verdict}".encode())
-            hasher.update(float(taxonomy.wall_seconds).hex().encode())
-        return hasher.hexdigest()
+            parts += [
+                f"mon|{workload}|{taxonomy.verdict}",
+                taxonomy.wall_seconds,
+            ]
+        return float_digest(parts)
 
     def to_json(self) -> dict:
         scale = self.config.scale
@@ -260,13 +264,13 @@ def run_taxonomy(
     evidence, and carry the pinned expected class.
     """
     config = config or ExperimentConfig()
-    mode_names = tuple(modes) if modes else tuple(MODES)
+    mode_names = tuple(MODES) if modes is None else tuple(modes)
     if reference_mode not in mode_names:
         raise ConfigurationError(
             f"reference mode {reference_mode!r} not in modes {list(mode_names)}"
         )
     unknown = [name for name in workloads if name not in WORKLOADS]
-    if unknown:
+    if unknown or not workloads:
         raise ConfigurationError(
             f"unknown workloads {unknown}; known: {sorted(WORKLOADS)}"
         )
@@ -332,6 +336,29 @@ def run_taxonomy(
     )
 
 
+def from_args(args, config: ExperimentConfig) -> TaxonomyResult:
+    """``python -m repro taxonomy`` over ``--workloads`` x ``--modes``."""
+    return run_taxonomy(
+        config,
+        workloads=(
+            DEFAULT_WORKLOADS
+            if args.workloads is None
+            else split_csv(args.workloads)
+        ),
+        modes=None if args.modes is None else split_csv(args.modes),
+    )
+
+
+# ``repro taxonomy --check``: besides determinism, the matrix must be
+# correctly classified. Problems print under CHECK_FAIL; a clean run prints
+# CHECK_PASS.
+CHECK_FAIL = "CLASSIFICATION FAIL"
+CHECK_PASS = (
+    "classification: fractions exact, verdicts pinned, "
+    "monitor tier agrees with full trace"
+)
+
+
 def check_taxonomy(result: TaxonomyResult) -> list[str]:
     """The result contract; a non-empty list means the report is wrong.
 
@@ -386,6 +413,9 @@ def check_taxonomy(result: TaxonomyResult) -> list[str]:
         if not reference.taxonomy.windows:
             problems.append(f"{workload}: no per-window drill-down")
     return problems
+
+
+check = check_taxonomy
 
 
 def render(result: TaxonomyResult) -> str:

@@ -35,7 +35,6 @@ uninterrupted one.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import pickle
 from dataclasses import dataclass
@@ -46,8 +45,10 @@ from repro.experiments.common import (
     ExperimentConfig,
     ModeResult,
     PreparedRun,
-    _trace_for,
+    float_digest,
+    float_hex,
     prepare_trace_mode,
+    trace_for,
 )
 from repro.telemetry import trace as tracing
 
@@ -190,8 +191,8 @@ def checkpoint_model_mode(
     *,
     pause_after: int,
 ) -> RuntimeSnapshot | ModeResult:
-    """Model-registry convenience wrapper over :func:`checkpoint_trace_mode`."""
-    trace, _ = _trace_for(model_key, config)
+    """Model-key convenience wrapper over :func:`checkpoint_trace_mode`."""
+    trace = trace_for(model_key, config)
     return checkpoint_trace_mode(
         trace, mode_name, config, pause_after=pause_after,
         model_label=model_key,
@@ -228,19 +229,15 @@ def resume_snapshot(
 # -- digests ----------------------------------------------------------------
 
 
-def _hex(value: float) -> str:
-    return float(value).hex()
-
-
 def _iteration_dump(it) -> dict:
     return {
-        "seconds": _hex(it.seconds),
-        "start": _hex(it.start_time),
-        "end": _hex(it.end_time),
-        "compute": _hex(it.compute_seconds),
-        "kernel_memory": _hex(it.kernel_memory_seconds),
-        "movement": _hex(it.movement_seconds),
-        "gc_seconds": _hex(it.gc_seconds),
+        "seconds": float_hex(it.seconds),
+        "start": float_hex(it.start_time),
+        "end": float_hex(it.end_time),
+        "compute": float_hex(it.compute_seconds),
+        "kernel_memory": float_hex(it.kernel_memory_seconds),
+        "movement": float_hex(it.movement_seconds),
+        "gc_seconds": float_hex(it.gc_seconds),
         "gc_collections": it.gc_collections,
         "traffic": {
             device: [snap.read_bytes, snap.write_bytes]
@@ -270,11 +267,10 @@ def digest_mode_result(result: ModeResult) -> str:
         "iterations": [_iteration_dump(it) for it in run.iterations],
         "timelines": {
             name: [
-                [_hex(t), _hex(v), label]
+                [float_hex(t), float_hex(v), label]
                 for t, v, label in timeline.to_dict()["samples"]
             ]
             for name, timeline in sorted(run.occupancy_timeline.items())
         },
     }
-    blob = json.dumps(dump, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return float_digest([json.dumps(dump, sort_keys=True)])

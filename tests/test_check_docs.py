@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import COMMANDS
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 spec = importlib.util.spec_from_file_location(
@@ -14,12 +16,27 @@ check_docs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(check_docs)
 
 
+def cli_table(commands) -> str:
+    """A README "CLI reference" section listing ``commands``."""
+    rows = "".join(
+        f"| `{name}` | {description} | `docs/guide.md` |\n"
+        for name, description in commands.items()
+    )
+    return (
+        "### CLI reference\n\n| Command | What it does | Docs |\n"
+        f"|---|---|---|\n{rows}\n## Next section\n"
+    )
+
+
+REGISTRY = {name: description for name, (_, description) in COMMANDS.items()}
+
+
 @pytest.fixture()
 def repo(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "README.md").write_text(
         "# Demo\n\nSee `docs/guide.md` and [the API](docs/api.md).\n"
-        "Run `python -m repro bench --quick` first.\n"
+        "Run `python -m repro bench --quick` first.\n\n" + cli_table(REGISTRY)
     )
     (tmp_path / "docs" / "guide.md").write_text(
         "Back to [README](../README.md). Also `python -m repro serve`.\n"
@@ -72,6 +89,56 @@ class TestCheckRepo:
         )
         (repo / "docs" / "guide.md").write_text(names + "\n")
         assert check_docs.check_repo(repo) == []
+
+
+class TestCliTable:
+    def _readme(self, repo, commands):
+        (repo / "README.md").write_text(
+            "# Demo\n\nSee `docs/guide.md` and [the API](docs/api.md).\n\n"
+            + cli_table(commands)
+        )
+
+    def test_missing_command_flagged(self, repo):
+        commands = dict(REGISTRY)
+        del commands["taxonomy"]
+        self._readme(repo, commands)
+        assert check_docs.check_repo(repo) == [
+            "README.md: CLI reference lacks 'taxonomy'"
+        ]
+
+    def test_unregistered_command_flagged(self, repo):
+        self._readme(repo, {**REGISTRY, "frobnicate": "does nothing"})
+        problems = check_docs.check_repo(repo)
+        assert len(problems) == 1
+        assert "'frobnicate', which is not a registered command" in problems[0]
+
+    def test_description_must_match_the_registry(self, repo):
+        self._readme(repo, {**REGISTRY, "serve": "serves coffee"})
+        problems = check_docs.check_repo(repo)
+        assert len(problems) == 1
+        assert "describes 'serve' as 'serves coffee'" in problems[0]
+        assert REGISTRY["serve"] in problems[0]
+
+    def test_missing_section_flagged(self, repo):
+        (repo / "README.md").write_text(
+            "# Demo\n\nSee `docs/guide.md` and [the API](docs/api.md).\n"
+        )
+        assert check_docs.check_repo(repo) == [
+            "README.md: no '### CLI reference' section"
+        ]
+
+    def test_table_ends_at_the_next_heading(self, repo):
+        # A table after the section's end is not the CLI reference.
+        commands = dict(REGISTRY)
+        del commands["bench"]
+        self._readme(repo, commands)
+        text = (repo / "README.md").read_text()
+        (repo / "README.md").write_text(
+            text + "| `bench` | " + REGISTRY["bench"] + " | x |\n"
+        )
+        assert check_docs.check_repo(repo) == [
+            "README.md: CLI reference lacks 'bench'"
+        ]
 
 
 class TestMain:

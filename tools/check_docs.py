@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs audit: reachability, link integrity, and CLI-reference accuracy.
 
-Three checks over the repo's markdown (``python tools/check_docs.py``,
+Four checks over the repo's markdown (``python tools/check_docs.py``,
 wired into CI as the ``docs-check`` job):
 
 1. **Reachability** — every ``docs/*.md`` page must be reachable from
@@ -15,6 +15,9 @@ wired into CI as the ``docs-check`` job):
 3. **CLI accuracy** — every ``python -m repro <cmd>`` invocation mentioned
    anywhere in the scanned markdown must name a real subcommand
    (``repro.cli.SUBCOMMANDS``), so the docs cannot drift from the CLI.
+4. **CLI reference** — the README's "CLI reference" table lists exactly the
+   commands of the CLI registry (``repro.cli.COMMANDS``), each with the
+   registry's one-line description.
 
 Exit status 0 when clean, 1 with one line per problem otherwise.
 """
@@ -35,6 +38,9 @@ _CODE_PATH = re.compile(r"`([A-Za-z0-9_./-]+\.(?:md|py|toml|json|yml))`")
 _CLI = re.compile(r"python\s+-m\s+repro\s+([A-Za-z0-9_-]+)")
 # Flags and placeholders are not subcommands.
 _NON_COMMANDS = {"-h", "--help"}
+# The README's command table: a heading, then rows "| `cmd` | what | docs |".
+_CLI_TABLE_HEADING = "### CLI reference"
+_CLI_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|\s*(.*?)\s*\|")
 
 # Top-level pages scanned in addition to README.md and docs/*.md. Links in
 # working notes (ISSUE.md, CHANGES.md, SNIPPETS.md, PAPERS.md) are not
@@ -48,14 +54,15 @@ EXTRA_PAGES = (
 )
 
 
-def _subcommands(root: Path) -> frozenset[str]:
-    """The CLI's real subcommand set (import the installed/src package)."""
+def _commands(root: Path) -> dict[str, str]:
+    """The CLI registry, command -> one-line description (import the
+    installed/src package)."""
     src = root / "src"
     if src.is_dir() and str(src) not in sys.path:
         sys.path.insert(0, str(src))
-    from repro.cli import SUBCOMMANDS
+    from repro.cli import COMMANDS
 
-    return frozenset(SUBCOMMANDS)
+    return {name: description for name, (_, description) in COMMANDS.items()}
 
 
 def _scanned_pages(root: Path) -> list[Path]:
@@ -132,6 +139,39 @@ def check_cli_mentions(
     return problems
 
 
+def check_cli_table(root: Path, commands: dict[str, str]) -> list[str]:
+    """README "CLI reference" rows that disagree with the CLI registry."""
+    lines = (root / "README.md").read_text(encoding="utf-8").splitlines()
+    try:
+        start = lines.index(_CLI_TABLE_HEADING)
+    except ValueError:
+        return [f"README.md: no '{_CLI_TABLE_HEADING}' section"]
+    problems = []
+    listed = set()
+    for number, line in enumerate(lines[start + 1:], start=start + 2):
+        if line.startswith("#"):
+            break
+        match = _CLI_ROW.match(line)
+        if match is None:
+            continue
+        name, description = match.groups()
+        listed.add(name)
+        if name not in commands:
+            problems.append(
+                f"README.md:{number}: CLI reference lists '{name}', "
+                f"which is not a registered command"
+            )
+        elif description != commands[name]:
+            problems.append(
+                f"README.md:{number}: CLI reference describes '{name}' as "
+                f"{description!r}; the registry says {commands[name]!r}"
+            )
+    for name in commands:
+        if name not in listed:
+            problems.append(f"README.md: CLI reference lacks '{name}'")
+    return problems
+
+
 def check_reachability(root: Path) -> list[str]:
     """docs/*.md pages no chain of references from README.md reaches."""
     readme = root / "README.md"
@@ -156,10 +196,13 @@ def check_reachability(root: Path) -> list[str]:
 
 
 def check_repo(root: Path) -> list[str]:
-    """All three audits; one message per problem (empty = clean)."""
+    """All four audits; one message per problem (empty = clean)."""
     root = root.resolve()
-    subcommands = _subcommands(root)
+    commands = _commands(root)
+    subcommands = frozenset(commands)
     problems = check_reachability(root)
+    if (root / "README.md").exists():
+        problems.extend(check_cli_table(root, commands))
     for page in _scanned_pages(root):
         problems.extend(check_links(page, root))
         problems.extend(check_cli_mentions(page, root, subcommands))
