@@ -270,14 +270,8 @@ class DataManager:
             self._tenant_used[key] = self._tenant_used.get(key, 0) + size
             self._region_tenant[(device, offset)] = self.active_tenant
         tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                tracing.ALLOC, device=device, offset=offset, nbytes=size
-            )
-        elif tracer.monitoring:
-            tracer.monitor.note_alloc(
-                tracer.clock.now, device, size, offset, tracer.stream
-            )
+        if tracer.active:
+            tracer.alloc(tracer.clock.now, device, size, offset, tracer.stream)
         return region
 
     def try_allocate(self, device: str, size: int) -> Region | None:
@@ -316,15 +310,8 @@ class DataManager:
                 )
         region.freed = True
         tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                tracing.FREE,
-                device=region.device_name,
-                offset=region.offset,
-                nbytes=region.size,
-            )
-        elif tracer.monitoring:
-            tracer.monitor.note_free(
+        if tracer.active:
+            tracer.free(
                 tracer.clock.now,
                 region.device_name,
                 region.size,

@@ -139,11 +139,11 @@ class SessionConfig:
     # default: the disabled path is a shared no-op tracer with zero
     # per-kernel cost.
     tracing: bool = False
-    # Attach the always-on runtime monitor (docs/observability.md, "Live
-    # monitoring"): windowed rollups, latency sketches, alerts, and the
-    # flight recorder, all in bounded memory. Composes with ``tracing``:
-    # monitor alone streams events without retaining them; monitor +
-    # tracing keeps the full event list too.
+    # Attach the always-on runtime monitor (docs/observability.md):
+    # windowed rollups, latency sketches, alerts, and the flight recorder,
+    # all in bounded memory. Composes with ``tracing``: monitor alone
+    # streams events without retaining them; monitor + tracing keeps the
+    # full event list too.
     monitor: bool = False
     # Optional tuning for the monitor (window size, ring capacity, alert
     # rules, flight-dump directory); None uses MonitorConfig defaults.
@@ -354,16 +354,15 @@ class SharedRuntime:
             session.closed = True
         quota_total = sum(refunded.values())
         tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
+        if tracer.active:
+            tracer.elastic(
                 tracing.DETACH,
-                tenant=tenant,
+                tracer.clock.now,
+                tenant,
                 objects=len(objs),
                 nbytes=freed,
                 quota=quota_total,
             )
-        elif getattr(tracer, "monitoring", False):
-            tracer.monitor.note_elastic("detach", self.clock.now, tenant)
         return {"objects": len(objs), "bytes": freed, "quota": quota_total}
 
     def resize(self, device: str, new_bytes: int | str) -> dict[str, object]:
@@ -415,16 +414,11 @@ class SharedRuntime:
                 )
                 steps = "ladder" if result else ""
         tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                tracing.RESIZE,
-                device=device,
-                old=old,
-                new=new,
+        if tracer.active:
+            tracer.elastic(
+                tracing.RESIZE, tracer.clock.now, device, old=old, new=new,
                 via=steps,
             )
-        elif getattr(tracer, "monitoring", False):
-            tracer.monitor.note_elastic("resize", self.clock.now, device)
         self._monitor_capacities[device] = heap.capacity
         self.manager.check_invariants()
         return {"device": device, "old": old, "new": heap.capacity, "via": steps}

@@ -238,31 +238,18 @@ class MultiTierPolicy(Policy):
             # evict_object allocates for itself; release the probe.
             self.manager.free(room)
         tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                tracing.EVICT,
-                obj=obj.name,
-                src=self.tiers[index],
-                dst=below,
-                nbytes=obj.size,
-                clean=linked is not None and not self.manager.isdirty(region),
-            )
-            with tracer.scope("evict", obj):
-                evicted = evict_object(self.manager, obj, self.tiers[index], below)
-        elif tracer.monitoring:
-            monitor = tracer.monitor
-            monitor.note_evict(tracer.clock.now, obj.name, obj.size)
+        if tracer.active:
             # See OptimizingPolicy._evict_region: demotion writebacks are
-            # attributed "evict" via the monitor's copy_cause string, the
-            # cheap tier's stand-in for attribution scopes.
-            prev = monitor.copy_cause
-            monitor.copy_cause = "evict"
-            try:
-                evicted = evict_object(
-                    self.manager, obj, self.tiers[index], below
-                )
-            finally:
-                monitor.copy_cause = prev
+            # attributed to the eviction inside the returned scope.
+            with tracer.evict(
+                tracer.clock.now,
+                obj.name,
+                obj.size,
+                self.tiers[index],
+                below,
+                linked is not None and not self.manager.isdirty(region),
+            ):
+                evicted = evict_object(self.manager, obj, self.tiers[index], below)
         else:
             evicted = evict_object(self.manager, obj, self.tiers[index], below)
         if evicted:
@@ -317,17 +304,10 @@ class MultiTierPolicy(Policy):
             self.lru[self.tiers[current]].discard(obj)
             self.lru[top].touch(obj)
             self.stats.bump(self.stats.promotions, top)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    tracing.PREFETCH,
-                    obj=obj.name,
-                    src=self.tiers[current],
-                    dst=top,
-                    nbytes=obj.size,
-                )
-            elif self.tracer.monitoring:
-                self.tracer.monitor.note_prefetch(
-                    self.tracer.clock.now, obj.name, obj.size
+            if self.tracer.active:
+                self.tracer.prefetch(
+                    self.tracer.clock.now, obj.name, obj.size,
+                    self.tiers[current], top,
                 )
         return region
 

@@ -228,18 +228,11 @@ class OptimizingPolicy(Policy):
         )
         if region is not None and region.device_name == self.fast:
             self.lru.touch(obj)
-            if was_slow and self.tracer.enabled:
+            if was_slow and self.tracer.active:
                 # An actual slow->fast move, not a no-op on already-fast data.
-                self.tracer.emit(
-                    tracing.PREFETCH,
-                    obj=obj.name,
-                    src=self.slow,
-                    dst=self.fast,
-                    nbytes=obj.size,
-                )
-            elif was_slow and self.tracer.monitoring:
-                self.tracer.monitor.note_prefetch(
-                    self.tracer.clock.now, obj.name, obj.size
+                self.tracer.prefetch(
+                    self.tracer.clock.now, obj.name, obj.size, self.slow,
+                    self.fast,
                 )
         return region
 
@@ -339,30 +332,14 @@ class OptimizingPolicy(Policy):
             self.manager.getlinked(region, self.slow) is not None
         )
         tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                tracing.EVICT,
-                obj=obj.name,
-                src=self.fast,
-                dst=self.slow,
-                nbytes=obj.size,
-                clean=was_clean,
-            )
-            with tracer.scope("evict", obj):
+        if tracer.active:
+            # The writeback copy evict_object makes is attributed to the
+            # eviction inside the returned scope.
+            with tracer.evict(
+                tracer.clock.now, obj.name, obj.size, self.fast, self.slow,
+                was_clean,
+            ):
                 evicted = evict_object(self.manager, obj, self.fast, self.slow)
-        elif tracer.monitoring:
-            monitor = tracer.monitor
-            monitor.note_evict(tracer.clock.now, obj.name, obj.size)
-            # Cheap stand-in for the full tier's `with tracer.scope("evict")`:
-            # the writeback copy evict_object performs lands in the monitor's
-            # by-cause rollup under "evict". Restored (not cleared) so
-            # cascaded demotions keep the outer attribution.
-            prev = monitor.copy_cause
-            monitor.copy_cause = "evict"
-            try:
-                evicted = evict_object(self.manager, obj, self.fast, self.slow)
-            finally:
-                monitor.copy_cause = prev
         else:
             evicted = evict_object(self.manager, obj, self.fast, self.slow)
         if evicted:

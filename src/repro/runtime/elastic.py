@@ -136,11 +136,11 @@ def load_snapshot(path: str) -> RuntimeSnapshot:
 
 def _emit_elastic(prepared: PreparedRun, kind: str, label: str) -> None:
     tracer = prepared.adapter.tracer
-    clock = prepared.adapter.clock
-    if tracer.enabled:
-        tracer.emit(kind, label=label, kernels=prepared.executor.kernels_done)
-    elif tracer.monitoring:
-        tracer.monitor.note_elastic(kind, clock.now, label)
+    if tracer.active:
+        tracer.elastic(
+            kind, tracer.clock.now, label,
+            kernels=prepared.executor.kernels_done,
+        )
 
 
 def _snapshot_of(prepared: PreparedRun) -> RuntimeSnapshot:

@@ -64,6 +64,21 @@ MOVEMENT_WAIT = "movement_wait"  # async mode: stalls on in-flight copies
 GC = "gc"
 
 
+def _blame(
+    late: list[tuple[str, float]], seconds: float
+) -> tuple[list[str], list[float]]:
+    """Split a stall of ``seconds`` over the objects still in flight, in
+    proportion to how late each one lands: ``(objects, charged)``. The
+    ledger uses the split to blame wait time on specific objects."""
+    total_late = sum(remaining for _, remaining in late)
+    charged = (
+        [seconds * remaining / total_late for _, remaining in late]
+        if total_late > 0
+        else []
+    )
+    return [name for name, _ in late], charged
+
+
 class SystemAdapter(abc.ABC):
     """What the executor needs from a memory system."""
 
@@ -207,34 +222,17 @@ class CachedArraysAdapter(SystemAdapter):
             )
             wait = snap_residue(ready_at - self.clock.now, self.clock.now)
             if wait > 0:
-                if tracer.enabled:
-                    # Charge the stall to the operands still in flight,
-                    # proportionally to how late each one is — the ledger
-                    # uses this to blame wait time on specific objects.
-                    now = self.clock.now
+                now = self.clock.now
+                self.clock.advance(wait, MOVEMENT_WAIT)
+                if tracer.active:
                     late = [
                         (obj.name, obj.primary.ready_at - now)
                         for obj in pinned
                         if obj.primary is not None and obj.primary.ready_at > now
                     ]
-                    total_late = sum(remaining for _, remaining in late)
-                    self.clock.advance(wait, MOVEMENT_WAIT)
-                    tracer.emit(
-                        tracing.STALL,
-                        kernel=kernel.name,
-                        seconds=wait,
-                        objects=[name for name, _ in late],
-                        charged=[
-                            wait * remaining / total_late
-                            for _, remaining in late
-                        ] if total_late > 0 else [],
+                    tracer.stall(
+                        self.clock.now, wait, kernel.name, *_blame(late, wait)
                     )
-                else:
-                    self.clock.advance(wait, MOVEMENT_WAIT)
-                    if tracer.monitoring:
-                        tracer.monitor.note_stall(
-                            self.clock.now, wait, kernel.name
-                        )
             reads: list[tuple] = []
             writes: list[tuple] = []
             for obj in read_objs:
@@ -290,30 +288,13 @@ class CachedArraysAdapter(SystemAdapter):
         engine = self.session.engine
         drain = engine.drain_wait()
         if drain > 0:
-            tracer = self.tracer
-            if tracer.enabled:
-                # Blame the drain on the objects still in flight,
-                # proportionally to how late each one lands (same charging
-                # scheme as the kernel-entry stall above).
-                late = engine.pending_labels(self.clock.now)
-                total_late = sum(remaining for _, remaining in late)
-                self.clock.advance(drain, MOVEMENT_WAIT)
-                tracer.emit(
-                    tracing.STALL,
-                    kernel="iter_end_drain",
-                    seconds=drain,
-                    objects=[name for name, _ in late],
-                    charged=[
-                        drain * remaining / total_late
-                        for _, remaining in late
-                    ] if total_late > 0 else [],
+            now = self.clock.now
+            self.clock.advance(drain, MOVEMENT_WAIT)
+            if self.tracer.active:
+                late = engine.pending_labels(now)
+                self.tracer.stall(
+                    self.clock.now, drain, "iter_end_drain", *_blame(late, drain)
                 )
-            else:
-                self.clock.advance(drain, MOVEMENT_WAIT)
-                if tracer.monitoring:
-                    tracer.monitor.note_stall(
-                        self.clock.now, drain, "iter_end_drain"
-                    )
         self.session.defragment()
         self.session.policy.on_iteration_end()
 
@@ -365,18 +346,11 @@ class TwoLMAdapter(SystemAdapter):
         offset = self.system.allocate(spec.nbytes)
         self.offsets[spec.name] = offset
         self.sizes[spec.name] = spec.nbytes
-        if self.tracer.enabled:
-            self.tracer.emit(
-                tracing.ALLOC,
-                device=self.system.nvram.name,
-                obj=spec.name,
-                offset=offset,
-                nbytes=spec.nbytes,
-            )
-        elif self.tracer.monitoring:
-            self.tracer.monitor.note_alloc(
-                self.clock.now, self.system.nvram.name, spec.nbytes,
-                offset, self.tracer.stream,
+        tracer = self.tracer
+        if tracer.active:
+            tracer.alloc(
+                self.clock.now, self.system.nvram.name, spec.nbytes, offset,
+                tracer.stream, spec.name,
             )
 
     def exists(self, name: str) -> bool:
@@ -386,18 +360,11 @@ class TwoLMAdapter(SystemAdapter):
         offset = self.offsets.pop(name)
         nbytes = self.sizes.pop(name)
         self.system.free(offset)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                tracing.FREE,
-                device=self.system.nvram.name,
-                obj=name,
-                offset=offset,
-                nbytes=nbytes,
-            )
-        elif self.tracer.monitoring:
-            self.tracer.monitor.note_free(
-                self.clock.now, self.system.nvram.name, nbytes,
-                offset, self.tracer.stream,
+        tracer = self.tracer
+        if tracer.active:
+            tracer.free(
+                self.clock.now, self.system.nvram.name, nbytes, offset,
+                tracer.stream, name,
             )
 
     def archive(self, name: str) -> None:
@@ -597,12 +564,8 @@ class Executor:
             # for contiguous space, defragment, then cross-tier fallback.
             # Exhaustion raises RecoveryExhaustedError (an OutOfMemoryError).
             tracer = self.adapter.tracer
-            if tracer.enabled:
-                tracer.emit(tracing.OOM_RETRY, obj=spec.name, nbytes=spec.nbytes)
-            elif tracer.monitoring:
-                tracer.monitor.note_oom_retry(
-                    self.adapter.clock.now, spec.name
-                )
+            if tracer.active:
+                tracer.oom_retry(self.adapter.clock.now, spec.name, spec.nbytes)
             recover_allocation(
                 lambda: self.adapter.alloc(spec),
                 err,
@@ -630,10 +593,8 @@ class Executor:
         with tracer.scope("gc"):
             pause = self.gc.collect()
         self.adapter.clock.advance(pause, GC)
-        if tracer.enabled:
-            tracer.emit(tracing.GC, seconds=pause)
-        elif tracer.monitoring:
-            tracer.monitor.note_gc(self.adapter.clock.now, pause)
+        if tracer.active:
+            tracer.gc(self.adapter.clock.now, pause)
 
     def _sample(self, label: str = "") -> None:
         if not self.sample_timeline:
@@ -733,7 +694,7 @@ class Executor:
             adapter_kernel = adapter.kernel
             adapter_occupancy = adapter.occupancy
             traced = tracer.enabled
-            monitoring = tracer.monitoring
+            active = tracer.active
             peak_get = peak.get
             events = trace.events
             for pos in range(first_event, len(events)):
@@ -746,23 +707,15 @@ class Executor:
                     # Yield the kernel's duration to the scheduler; other
                     # streams may run before this one resumes.
                     yield timing.total, KERNEL
-                    if traced:
-                        tracer.emit(
-                            tracing.KERNEL_END,
-                            kernel=event.name,
-                            seconds=timing.total,
-                            compute=timing.compute,
-                            memory=timing.memory,
-                            fixed=timing.fixed,
-                            phase=event.phase,
-                        )
-                    elif monitoring:
-                        tracer.monitor.note_kernel(
+                    if active:
+                        tracer.kernel(
                             clock.now,
                             timing.total,
                             timing.compute,
                             timing.memory,
                             timing.fixed,
+                            event.name,
+                            event.phase,
                         )
                     compute += timing.compute
                     kernel_memory += timing.memory

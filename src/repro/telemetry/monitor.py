@@ -6,7 +6,9 @@ costs nothing and sees nothing. This module is the production-grade middle
 tier the paper's online-guidance relatives (Olson et al., Jenga) assume: an
 event *consumer* whose memory is bounded no matter how long the run is.
 
-Four cooperating pieces, all driven by :meth:`RuntimeMonitor.observe`:
+Four cooperating pieces, all driven by the monitor's per-kind ``note_*``
+folds (reached directly from the cheap tier's typed event calls, or through
+:meth:`RuntimeMonitor.observe` from a :class:`TraceEvent`):
 
 * :class:`RollupAggregator` — folds events into fixed-interval virtual-time
   windows (bytes moved per cause, stall seconds, evictions/prefetches,
@@ -27,9 +29,10 @@ Four cooperating pieces, all driven by :meth:`RuntimeMonitor.observe`:
 :class:`MonitorTracer` adapts the monitor to the runtime's tracer slot: it
 *is* a :class:`Tracer` (same scopes, same virtual-time stamps — so cause
 attribution and determinism carry over) but feeds each event straight into
-the monitor and, by default, does not retain it. The monitor is pure
-observation: it never advances the clock and never feeds back into policy
-decisions, so results are bit-identical with it on or off.
+the monitor and, by default, retains nothing: its typed event methods are
+the monitor's folds themselves. The monitor is pure observation: it never
+advances the clock and never feeds back into policy decisions, so results
+are bit-identical with it on or off.
 
 Everything here also works *offline*: replaying a JSONL trace through
 ``observe`` produces the same rollups/alerts the live run would have seen —
@@ -40,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Mapping
+from typing import IO, TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.telemetry.timeline import Timeline
 from repro.telemetry.trace import (
@@ -50,6 +53,7 @@ from repro.telemetry.trace import (
     COPY_RETRY,
     COPY_START,
     DETACH,
+    ELASTIC_SUBJECTS,
     EVICT,
     FAULT,
     FREE,
@@ -63,6 +67,7 @@ from repro.telemetry.trace import (
     RECOVERY_STEP,
     RESIZE,
     RESTORE,
+    SINK_METHODS,
     SNAPSHOT,
     STALL,
     TraceEvent,
@@ -71,6 +76,8 @@ from repro.telemetry.trace import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from contextlib import AbstractContextManager
+
     from repro.sim.clock import SimClock
 
 __all__ = [
@@ -498,9 +505,9 @@ class FlightRecorder:
     """A fixed-size ring of the most recent events: the run's black box.
 
     Appending is O(1) with no allocation beyond the slot write. Slots hold
-    either full :class:`TraceEvent` records (the observe/replay path) or
-    plain dicts (the monitor-tier ``note_*`` fast path appends compact
-    pre-shaped records to avoid building events it would never retain). A
+    full :class:`TraceEvent` records (the observe/replay path), plain dicts,
+    or compact ``(kind, ts, *values)`` tuples (the cheap tier's ``note_*``
+    folds, which never build the events they would not retain). A
     dump writes a ``repro.flight`` JSONL document — header line (reason,
     virtual dump time, drop count) followed by the retained records in
     arrival order with sorted keys and compact separators (the same
@@ -559,9 +566,9 @@ class FlightRecorder:
         return len(events)
 
 
-# Field names for the monitor tier's compact ring records: the note_* fast
-# path appends plain ``(kind, ts, *values)`` tuples (cheaper to build than
-# dicts on the hot path); dump() re-keys them here so the JSONL document is
+# Field names for the monitor tier's compact ring records: the note_* folds
+# append plain ``(kind, ts, *values)`` tuples (cheaper to build than dicts
+# on the hot path); dump() re-keys them here so the JSONL document is
 # indistinguishable from one built from kwargs.
 _RING_FIELDS: dict[str, tuple[str, ...]] = {
     STALL: ("kernel", "seconds"),
@@ -582,13 +589,37 @@ _RING_FIELDS: dict[str, tuple[str, ...]] = {
     RESTORE: ("subject",),
 }
 
-# Elastic-event kind -> totals key (note_elastic / observe intake).
+# Elastic-event kind -> totals key (note_elastic).
 _ELASTIC_TOTALS = {
     DETACH: "detaches",
     RESIZE: "resizes",
     SNAPSHOT: "snapshots",
     RESTORE: "restores",
 }
+
+
+class _CauseScope:
+    """Attributes the cheap tier's copies to ``cause`` while entered.
+
+    Restores (not clears) the previous cause on exit, so a nested scope
+    leaves the outer attribution in place.
+    """
+
+    __slots__ = ("_monitor", "_cause", "_saved")
+
+    def __init__(self, monitor: "RuntimeMonitor", cause: str) -> None:
+        self._monitor = monitor
+        self._cause = cause
+        self._saved: list[str] = []
+
+    def __enter__(self) -> "_CauseScope":
+        monitor = self._monitor
+        self._saved.append(monitor.copy_cause)
+        monitor.copy_cause = self._cause
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._monitor.copy_cause = self._saved.pop()
 
 
 # -- alert rules ---------------------------------------------------------------
@@ -874,10 +905,13 @@ class RuntimeMonitor:
         # Live aggregates (exact, maintained incrementally from events).
         self.occupancy: dict[str, int] = {}
         self.inflight_copy_bytes = 0
-        # The current copy-cause bucket for note_copy (monitor tier only):
-        # eviction sites set it to "evict" around evict_object() — the
-        # cheap stand-in for the full tier's attribution scopes.
+        # The current copy-cause bucket for note_copy (cheap tier only): the
+        # scope note_evict returns sets it to "evict" around the eviction's
+        # writeback, the stand-in for the full tier's attribution scopes.
         self.copy_cause = "unattributed"
+        self._evict_scope = _CauseScope(self, "evict")
+        # True while observe() decodes an event into a fold (see _log).
+        self._decoding = False
         self._inflight: dict[int, tuple[float, int]] = {}  # seq -> (ts, nbytes)
         self.totals: dict[str, Any] = {
             "copies": 0, "copy_bytes": 0, "copy_seconds": 0.0,
@@ -951,180 +985,92 @@ class RuntimeMonitor:
         self._alert_sink = sink
 
     # -- event intake --------------------------------------------------------
+    #
+    # One fold per event kind: the ``note_*`` methods, whose signatures are
+    # the typed event contract (``telemetry.trace.SINK_METHODS``). The cheap
+    # tier binds them as its tracer's methods, so an instrumented site calls
+    # straight into the fold; observe() decodes a TraceEvent (full tier,
+    # offline replay) into the same fold. Either way a kind's totals,
+    # windows, occupancy and latency sketches move by the same arithmetic.
+    #
+    # The flight ring is the one place the paths differ: observe() puts the
+    # whole event in the ring, while the folds log a compact ``(kind, ts,
+    # *values)`` tuple (see ``_RING_FIELDS``) and skip it while observe() is
+    # decoding. Kernel, alloc and free folds log nothing in the cheap tier
+    # (pure volume, no forensic value).
 
     def observe(self, event: TraceEvent) -> None:
-        """Fold one event into every monitor structure. Hot path."""
-        self.events_seen += 1
-        ts = event.ts
-        if ts > self.last_ts:
-            self.last_ts = ts
+        """Fold one event: decode it into its kind's ``note_*`` fold."""
+        ts, kind, args = event.ts, event.kind, event.args
+        get = args.get
         self.ring.append(event)
-        window = self.rollups.window_for(ts)
-        window.events += 1
-        kind = event.kind
-        totals = self.totals
-        args = event.args
-        if kind == KERNEL_END:
-            seconds = float(args.get("seconds", 0.0))
-            compute = float(args.get("compute", 0.0))
-            memory = float(args.get("memory", 0.0))
-            fixed = float(args.get("fixed", 0.0))
-            window.kernels += 1
-            window.kernel_seconds += seconds
-            window.kernel_compute_seconds += compute
-            window.kernel_memory_seconds += memory
-            window.kernel_fixed_seconds += fixed
-            totals["kernels"] += 1
-            totals["kernel_seconds"] += seconds
-            totals["kernel_compute_seconds"] += compute
-            totals["kernel_memory_seconds"] += memory
-            totals["kernel_fixed_seconds"] += fixed
-            self.kernel_latency.observe(seconds)
-        elif kind == ALLOC:
-            nbytes = int(args.get("nbytes", 0))
-            device = args.get("device", "?")
-            window.allocs += 1
-            window.alloc_bytes += nbytes
-            totals["allocs"] += 1
-            self.occupancy[device] = self.occupancy.get(device, 0) + nbytes
-            if event.stream:
-                offset = args.get("offset")
-                if offset is not None:
-                    self._region_tenant[(device, int(offset))] = (
-                        event.stream, nbytes,
-                    )
-                key = f"{event.stream}/{device}"
-                self._tenant_used[key] = self._tenant_used.get(key, 0) + nbytes
-        elif kind == FREE:
-            nbytes = int(args.get("nbytes", 0))
-            device = args.get("device", "?")
-            window.frees += 1
-            window.free_bytes += nbytes
-            totals["frees"] += 1
-            self.occupancy[device] = self.occupancy.get(device, 0) - nbytes
-            offset = args.get("offset")
-            owner = None
-            if offset is not None:
-                owner = self._region_tenant.pop((device, int(offset)), None)
-            tenant = owner[0] if owner else event.stream
-            if tenant:
-                key = f"{tenant}/{device}"
-                remaining = self._tenant_used.get(key, 0) - nbytes
-                if remaining > 0:
-                    self._tenant_used[key] = remaining
+        self._decoding = True
+        try:
+            if kind == KERNEL_END:
+                self.note_kernel(
+                    ts, float(get("seconds", 0.0)), float(get("compute", 0.0)),
+                    float(get("memory", 0.0)), float(get("fixed", 0.0)),
+                )
+            elif kind == ALLOC or kind == FREE:
+                fold = self.note_alloc if kind == ALLOC else self.note_free
+                offset = get("offset")
+                fold(
+                    ts, get("device", "?"), int(get("nbytes", 0)),
+                    None if offset is None else int(offset), event.stream,
+                )
+            elif kind == COPY_START:
+                # Bytes attribute to the *root* cause (who started the
+                # cascade); seconds and counts to the *innermost* cause
+                # (what the copy mechanically was: an eviction nested under
+                # a placement is still eviction work). The innermost keying
+                # matches the cheap tier's ``copy_cause``, so the bottleneck
+                # taxonomy reads the same mechanism mix from either tier.
+                nbytes = int(get("nbytes", 0))
+                self._copy_started(
+                    ts, nbytes, float(get("seconds", 0.0)),
+                    cause_kind(event.root), cause_kind(event.cause),
+                )
+                seq = get("seq")
+                if seq is not None:
+                    self._inflight[int(seq)] = (ts, nbytes)
+            elif kind == COPY_END:
+                seq = get("seq")
+                started = (
+                    None if seq is None else self._inflight.pop(int(seq), None)
+                )
+                if started is None:
+                    self._tick(ts)
                 else:
-                    self._tenant_used.pop(key, None)
-        elif kind == COPY_START:
-            nbytes = int(args.get("nbytes", 0))
-            seconds = float(args.get("seconds", 0.0))
-            window.copies += 1
-            window.copy_bytes += nbytes
-            window.copy_seconds += seconds
-            # Bytes attribute to the *root* cause (who started the cascade);
-            # seconds/counts attribute to the *innermost* cause (what the
-            # copy mechanically was — an eviction nested under a placement
-            # is still eviction work). The innermost keying also matches the
-            # cheap tier's ``copy_cause`` string, so the bottleneck taxonomy
-            # reads the same mechanism mix from either tier.
-            cause = cause_kind(event.root)
-            window.copy_bytes_by_cause[cause] = (
-                window.copy_bytes_by_cause.get(cause, 0) + nbytes
-            )
-            mechanism = cause_kind(event.cause)
-            window.copy_seconds_by_cause[mechanism] = (
-                window.copy_seconds_by_cause.get(mechanism, 0.0) + seconds
-            )
-            window.copies_by_cause[mechanism] = (
-                window.copies_by_cause.get(mechanism, 0) + 1
-            )
-            totals["copies"] += 1
-            totals["copy_bytes"] += nbytes
-            totals["copy_seconds"] += seconds
-            self.copies_by_cause[mechanism] = (
-                self.copies_by_cause.get(mechanism, 0) + 1
-            )
-            self.copy_seconds_by_cause[mechanism] = (
-                self.copy_seconds_by_cause.get(mechanism, 0.0) + seconds
-            )
-            self.inflight_copy_bytes += nbytes
-            seq = args.get("seq")
-            if seq is not None:
-                self._inflight[int(seq)] = (ts, nbytes)
-        elif kind == COPY_END:
-            seq = args.get("seq")
-            started = None
-            if seq is not None:
-                started = self._inflight.pop(int(seq), None)
-            if started is not None:
-                start_ts, nbytes = started
-                self.inflight_copy_bytes -= nbytes
-                self.copy_latency.observe(ts - start_ts)
-        elif kind == STALL:
-            seconds = float(args.get("seconds", 0.0))
-            window.stalls += 1
-            window.stall_seconds += seconds
-            totals["stalls"] += 1
-            totals["stall_seconds"] += seconds
-            self.stall_latency.observe(seconds)
-        elif kind == EVICT:
-            window.evictions += 1
-            totals["evictions"] += 1
-        elif kind == PREFETCH:
-            window.prefetches += 1
-            totals["prefetches"] += 1
-        elif kind == GC:
-            seconds = float(args.get("seconds", 0.0))
-            window.gcs += 1
-            window.gc_seconds += seconds
-            totals["gcs"] += 1
-            totals["gc_seconds"] += seconds
-        elif kind == OOM_RETRY:
-            window.oom_retries += 1
-            totals["oom_retries"] += 1
-        elif kind == FAULT:
-            window.faults += 1
-            totals["faults"] += 1
-            label = args.get("fault") or args.get("site") or "?"
-            self._maybe_dump(f"fault:{label}", ts)
-        elif kind == RECOVERY_STEP:
-            step = str(args.get("step", "?"))
-            window.recovery_steps += 1
-            totals["recovery_steps"] += 1
-            self.recovery_steps_by_rung[step] = (
-                self.recovery_steps_by_rung.get(step, 0) + 1
-            )
-            if step in _ESCALATION_STEPS:
-                self._maybe_dump(f"recovery:{step}", ts)
-        elif kind == RECOVERY:
-            window.recoveries += 1
-            totals["recoveries"] += 1
-            step = str(args.get("step", "?"))
-            self.recoveries_by_step[step] = (
-                self.recoveries_by_step.get(step, 0) + 1
-            )
-        elif kind == COPY_RETRY:
-            window.copy_retries += 1
-            totals["copy_retries"] += 1
-        elif kind == POLICY_STRIKE:
-            window.strikes += 1
-            totals["strikes"] += 1
-            self._maybe_dump("policy_strike", ts)
-        elif kind == QUARANTINE:
-            window.quarantines += 1
-            totals["quarantines"] += 1
-            self._maybe_dump("quarantine", ts)
-        elif kind == DETACH:
-            totals["detaches"] += 1
-            self._maybe_dump(f"detach:{args.get('tenant', '?')}", ts)
-        elif kind == RESIZE:
-            totals["resizes"] += 1
-            self._maybe_dump(f"resize:{args.get('device', '?')}", ts)
-        elif kind == SNAPSHOT:
-            totals["snapshots"] += 1
-        elif kind == RESTORE:
-            totals["restores"] += 1
-        # Other kinds (hint/place/decision/...) only count toward
-        # window.events and ride in the flight ring.
+                    self._copy_landed(ts, *started)
+            elif kind == STALL:
+                self.note_stall(ts, float(get("seconds", 0.0)))
+            elif kind == EVICT:
+                self.note_evict(ts, get("obj", ""), get("nbytes", 0))
+            elif kind == PREFETCH:
+                self.note_prefetch(ts, get("obj", ""), get("nbytes", 0))
+            elif kind == GC:
+                self.note_gc(ts, float(get("seconds", 0.0)))
+            elif kind == OOM_RETRY:
+                self.note_oom_retry(ts)
+            elif kind == COPY_RETRY:
+                self.note_copy_retry(ts)
+            elif kind == FAULT:
+                self.note_fault(ts, get("fault") or get("site") or "?")
+            elif kind == RECOVERY_STEP:
+                self.note_recovery_step(ts, str(get("step", "?")))
+            elif kind == RECOVERY:
+                self.note_recovery(ts, str(get("step", "?")))
+            elif kind == POLICY_STRIKE:
+                self.note_strike(ts)
+            elif kind == QUARANTINE:
+                self.note_quarantine(ts)
+            elif kind in ELASTIC_SUBJECTS:
+                self.note_elastic(kind, ts, get(ELASTIC_SUBJECTS[kind], "?"))
+            else:
+                # hint/place/decision/...: counted, and kept in the ring.
+                self._tick(ts)
+        finally:
+            self._decoding = False
 
     def observe_all(self, events: Iterable[TraceEvent]) -> "RuntimeMonitor":
         """Replay a whole event stream (offline mode); returns self."""
@@ -1136,35 +1082,10 @@ class RuntimeMonitor:
         """Close the trailing window so its stats and alerts are visible."""
         self.rollups.finish()
 
-    # -- monitor-tier fast intake (note_*) -----------------------------------
-    #
-    # The inlined twins of observe()'s per-kind branches, called straight
-    # from instrumented sites through the ``elif tracer.monitoring:`` guard:
-    # positional arguments only, no kwargs dict, no TraceEvent. Each method
-    # must keep the same arithmetic as its observe() branch for totals,
-    # occupancy, and latency sketches, so offline replay of a recorded
-    # stream agrees with live monitoring on those (the CLI test suite holds
-    # the two paths equal there; per-window event counts and copy-cause
-    # attribution legitimately differ, because the cheap tier neither sees
-    # the skipped event kinds nor opens attribution scopes). Movement and
-    # robustness notes also drop a compact ``(kind, ts, *values)`` tuple
-    # into the flight ring (see ``_RING_FIELDS``) so the black box stays
-    # useful in the cheap tier; alloc/free and kernel notes skip the ring
-    # (pure volume, no forensic value).
-    #
-    # Every note opens with the same hand-inlined window lookup — two float
-    # comparisons against the aggregator's cached current window — because
-    # at ~50k notes per benchmark run even one extra call frame per note is
-    # measurable against the <=5% overhead budget (docs/observability.md).
-
-    def note_kernel(
-        self,
-        ts: float,
-        seconds: float,
-        compute: float = 0.0,
-        memory: float = 0.0,
-        fixed: float = 0.0,
-    ) -> None:
+    def _tick(self, ts: float) -> RollupWindow:
+        """Count one event at ``ts``; returns its window. Every fold's
+        intake. The aggregator's cached window is tested inline: two float
+        comparisons instead of a call, for the ~10^5 notes of a run."""
         r = self.rollups
         window = (
             r._cache_window if r._cache_lo <= ts < r._cache_hi
@@ -1174,6 +1095,20 @@ class RuntimeMonitor:
         if ts > self.last_ts:
             self.last_ts = ts
         window.events += 1
+        return window
+
+    def _log(self, record: tuple) -> None:
+        """Put a fold's compact record in the flight ring, unless observe()
+        already put the whole event there."""
+        if not self._decoding:
+            self.ring.append(record)
+
+    def note_kernel(
+        self, ts: float, seconds: float, compute: float = 0.0,
+        memory: float = 0.0, fixed: float = 0.0, kernel: str = "",
+        phase: str = "",
+    ) -> None:
+        window = self._tick(ts)
         window.kernels += 1
         window.kernel_seconds += seconds
         window.kernel_compute_seconds += compute
@@ -1187,125 +1122,98 @@ class RuntimeMonitor:
         totals["kernel_fixed_seconds"] += fixed
         self.kernel_latency.observe(seconds)
 
-    def note_stall(self, ts: float, seconds: float, kernel: str = "") -> None:
-        r = self.rollups
-        window = (
-            r._cache_window if r._cache_lo <= ts < r._cache_hi
-            else r.window_for(ts)
-        )
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        window.events += 1
+    def note_stall(
+        self, ts: float, seconds: float, kernel: str = "",
+        objects: Sequence[str] = (), charged: Sequence[float] = (),
+    ) -> None:
+        window = self._tick(ts)
         window.stalls += 1
         window.stall_seconds += seconds
         totals = self.totals
         totals["stalls"] += 1
         totals["stall_seconds"] += seconds
         self.stall_latency.observe(seconds)
-        self.ring.append((STALL, ts, kernel, seconds))
+        self._log((STALL, ts, kernel, seconds))
 
     def note_copy(
-        self,
-        start_ts: float,
-        end_ts: float,
-        nbytes: int,
-        src: str,
-        dst: str,
-        seconds: float | None = None,
+        self, start_ts: float, end_ts: float, nbytes: int, src: str, dst: str,
+        seconds: float | None = None, threads: int = 0, seq: int = 0,
     ) -> None:
-        # Mirrors the observe() pairing order exactly: the start window is
-        # touched, the copy goes in flight, then the end window is touched
-        # (possibly closing the start window with this copy still counted
-        # in-flight), then the copy lands. The cause comes from
-        # ``copy_cause`` — a plain string the eviction sites set around
-        # evict_object() in place of the full tier's tracer scopes.
-        # ``seconds`` is the exact copy duration when the caller has it;
-        # ``end_ts - start_ts`` recomputes it with float rounding, which
-        # would break note/observe totals parity.
-        r = self.rollups
-        window = (
-            r._cache_window if r._cache_lo <= start_ts < r._cache_hi
-            else r.window_for(start_ts)
-        )
-        self.events_seen += 2
+        # The start and end halves in observe()'s pairing order: the copy
+        # goes in flight, then the end window is touched (possibly closing
+        # the start window with this copy still in flight), then it lands.
+        # The cause is ``copy_cause``, set by the eviction scope note_evict
+        # returns in place of the full tier's attribution scopes. A caller's
+        # exact ``seconds`` beats ``end_ts - start_ts``, whose float
+        # rounding would break the tiers' totals parity.
         if seconds is None:
             seconds = end_ts - start_ts
-        window.events += 1
-        window.copies += 1
-        window.copy_bytes += nbytes
-        window.copy_seconds += seconds
         cause = self.copy_cause
-        by_cause = window.copy_bytes_by_cause
-        by_cause[cause] = by_cause.get(cause, 0) + nbytes
-        by_seconds = window.copy_seconds_by_cause
-        by_seconds[cause] = by_seconds.get(cause, 0.0) + seconds
-        by_count = window.copies_by_cause
-        by_count[cause] = by_count.get(cause, 0) + 1
-        totals = self.totals
-        totals["copies"] += 1
-        totals["copy_bytes"] += nbytes
-        totals["copy_seconds"] += seconds
-        self.copies_by_cause[cause] = (
-            self.copies_by_cause.get(cause, 0) + 1
-        )
-        self.copy_seconds_by_cause[cause] = (
-            self.copy_seconds_by_cause.get(cause, 0.0) + seconds
-        )
-        self.inflight_copy_bytes += nbytes
-        end_window = (
-            r._cache_window if r._cache_lo <= end_ts < r._cache_hi
-            else r.window_for(end_ts)
-        )
-        end_window.events += 1
-        if end_ts > self.last_ts:
-            self.last_ts = end_ts
-        self.inflight_copy_bytes -= nbytes
-        self.copy_latency.observe(end_ts - start_ts)
+        self._copy_started(start_ts, nbytes, seconds, cause, cause)
+        self._copy_landed(end_ts, start_ts, nbytes)
         self.ring.append(
             (COPY_START, start_ts, src, dst, nbytes, end_ts - start_ts)
         )
 
-    def note_alloc(
-        self, ts: float, device: str, nbytes: int, offset: int, stream: str
+    def _copy_started(
+        self, ts: float, nbytes: int, seconds: float, cause: str, mechanism: str
     ) -> None:
-        r = self.rollups
-        window = (
-            r._cache_window if r._cache_lo <= ts < r._cache_hi
-            else r.window_for(ts)
-        )
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        window.events += 1
+        """Copy fold, start half: bytes by ``cause``, seconds and counts by
+        ``mechanism``; the copy goes in flight."""
+        window = self._tick(ts)
+        window.copies += 1
+        window.copy_bytes += nbytes
+        window.copy_seconds += seconds
+        by_cause = window.copy_bytes_by_cause
+        by_cause[cause] = by_cause.get(cause, 0) + nbytes
+        by_seconds = window.copy_seconds_by_cause
+        by_seconds[mechanism] = by_seconds.get(mechanism, 0.0) + seconds
+        by_count = window.copies_by_cause
+        by_count[mechanism] = by_count.get(mechanism, 0) + 1
+        totals = self.totals
+        totals["copies"] += 1
+        totals["copy_bytes"] += nbytes
+        totals["copy_seconds"] += seconds
+        copies = self.copies_by_cause
+        copies[mechanism] = copies.get(mechanism, 0) + 1
+        copy_seconds = self.copy_seconds_by_cause
+        copy_seconds[mechanism] = copy_seconds.get(mechanism, 0.0) + seconds
+        self.inflight_copy_bytes += nbytes
+
+    def _copy_landed(self, ts: float, start_ts: float, nbytes: int) -> None:
+        """Copy fold, end half: the copy started at ``start_ts`` lands."""
+        self._tick(ts)
+        self.inflight_copy_bytes -= nbytes
+        self.copy_latency.observe(ts - start_ts)
+
+    def note_alloc(
+        self, ts: float, device: str, nbytes: int, offset: int | None,
+        stream: str, obj: str = "",
+    ) -> None:
+        window = self._tick(ts)
         window.allocs += 1
         window.alloc_bytes += nbytes
         self.totals["allocs"] += 1
         occupancy = self.occupancy
         occupancy[device] = occupancy.get(device, 0) + nbytes
         if stream:
-            self._region_tenant[(device, offset)] = (stream, nbytes)
+            if offset is not None:
+                self._region_tenant[(device, offset)] = (stream, nbytes)
             key = f"{stream}/{device}"
             self._tenant_used[key] = self._tenant_used.get(key, 0) + nbytes
 
     def note_free(
-        self, ts: float, device: str, nbytes: int, offset: int, stream: str
+        self, ts: float, device: str, nbytes: int, offset: int | None,
+        stream: str, obj: str = "",
     ) -> None:
-        r = self.rollups
-        window = (
-            r._cache_window if r._cache_lo <= ts < r._cache_hi
-            else r.window_for(ts)
-        )
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        window.events += 1
+        window = self._tick(ts)
         window.frees += 1
         window.free_bytes += nbytes
         self.totals["frees"] += 1
         occupancy = self.occupancy
         occupancy[device] = occupancy.get(device, 0) - nbytes
         if stream or self._region_tenant:
+            # A region charges its allocating tenant, whoever frees it.
             owner = self._region_tenant.pop((device, offset), None)
             tenant = owner[0] if owner else stream
             if tenant:
@@ -1316,117 +1224,101 @@ class RuntimeMonitor:
                 else:
                     self._tenant_used.pop(key, None)
 
-    def note_evict(self, ts: float, obj: str, nbytes: int) -> None:
-        r = self.rollups
-        window = (
-            r._cache_window if r._cache_lo <= ts < r._cache_hi
-            else r.window_for(ts)
-        )
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        window.events += 1
+    def note_evict(
+        self, ts: float, obj: str, nbytes: int, src: str = "", dst: str = "",
+        clean: bool = False,
+    ) -> AbstractContextManager[Any]:
+        window = self._tick(ts)
         window.evictions += 1
         self.totals["evictions"] += 1
-        self.ring.append((EVICT, ts, obj, nbytes))
+        self._log((EVICT, ts, obj, nbytes))
+        return self._evict_scope
 
-    def note_prefetch(self, ts: float, obj: str, nbytes: int) -> None:
-        r = self.rollups
-        window = (
-            r._cache_window if r._cache_lo <= ts < r._cache_hi
-            else r.window_for(ts)
-        )
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        window.events += 1
+    def note_prefetch(
+        self, ts: float, obj: str, nbytes: int, src: str = "", dst: str = ""
+    ) -> None:
+        window = self._tick(ts)
         window.prefetches += 1
         self.totals["prefetches"] += 1
-        self.ring.append((PREFETCH, ts, obj, nbytes))
-
-    def _note_slow(self, ts: float) -> RollupWindow:
-        """Shared intake for the rare robustness notes (not hot)."""
-        self.events_seen += 1
-        if ts > self.last_ts:
-            self.last_ts = ts
-        window = self.rollups.window_for(ts)
-        window.events += 1
-        return window
+        self._log((PREFETCH, ts, obj, nbytes))
 
     def note_gc(self, ts: float, seconds: float) -> None:
-        window = self._note_slow(ts)
+        window = self._tick(ts)
         window.gcs += 1
         window.gc_seconds += seconds
         self.totals["gcs"] += 1
         self.totals["gc_seconds"] += seconds
-        self.ring.append((GC, ts, seconds))
+        self._log((GC, ts, seconds))
 
-    def note_oom_retry(self, ts: float, obj: str = "") -> None:
-        window = self._note_slow(ts)
-        window.oom_retries += 1
+    def note_oom_retry(self, ts: float, obj: str = "", nbytes: int = 0) -> None:
+        self._tick(ts).oom_retries += 1
         self.totals["oom_retries"] += 1
-        self.ring.append((OOM_RETRY, ts, obj))
+        self._log((OOM_RETRY, ts, obj))
 
-    def note_copy_retry(self, ts: float, reason: str = "") -> None:
-        window = self._note_slow(ts)
-        window.copy_retries += 1
+    def note_copy_retry(
+        self, ts: float, reason: str = "", src: str = "", dst: str = "",
+        nbytes: int = 0, attempt: int = 0,
+    ) -> None:
+        self._tick(ts).copy_retries += 1
         self.totals["copy_retries"] += 1
-        self.ring.append((COPY_RETRY, ts, reason))
+        self._log((COPY_RETRY, ts, reason))
 
-    def note_fault(self, ts: float, label: str) -> None:
-        window = self._note_slow(ts)
-        window.faults += 1
+    def note_fault(
+        self, ts: float, site: str, device: str = "", op: str = "",
+        index: int = 0, **detail: Any,
+    ) -> None:
+        self._tick(ts).faults += 1
         self.totals["faults"] += 1
-        self.ring.append((FAULT, ts, label))
-        self._maybe_dump(f"fault:{label}", ts)
+        self._log((FAULT, ts, site))
+        self._maybe_dump(f"fault:{site}", ts)
 
-    def note_recovery_step(self, ts: float, step: str, tenant: str = "") -> None:
-        window = self._note_slow(ts)
-        window.recovery_steps += 1
+    def note_recovery_step(
+        self, ts: float, step: str, tenant: str = "", device: str = "",
+        requested: int = 0, free: int = 0, acted: bool = False,
+    ) -> None:
+        self._tick(ts).recovery_steps += 1
         self.totals["recovery_steps"] += 1
-        self.recovery_steps_by_rung[step] = (
-            self.recovery_steps_by_rung.get(step, 0) + 1
-        )
-        self.ring.append((RECOVERY_STEP, ts, step, tenant))
+        rungs = self.recovery_steps_by_rung
+        rungs[step] = rungs.get(step, 0) + 1
+        self._log((RECOVERY_STEP, ts, step, tenant))
         if step in _ESCALATION_STEPS:
             self._maybe_dump(f"recovery:{step}", ts)
 
-    def note_recovery(self, ts: float, step: str) -> None:
-        window = self._note_slow(ts)
-        window.recoveries += 1
+    def note_recovery(
+        self, ts: float, step: str, tenant: str = "", device: str = "",
+        requested: int = 0, steps: str = "",
+    ) -> None:
+        self._tick(ts).recoveries += 1
         self.totals["recoveries"] += 1
-        self.recoveries_by_step[step] = (
-            self.recoveries_by_step.get(step, 0) + 1
-        )
-        self.ring.append((RECOVERY, ts, step))
+        by_step = self.recoveries_by_step
+        by_step[step] = by_step.get(step, 0) + 1
+        self._log((RECOVERY, ts, step))
 
-    def note_strike(self, ts: float, op: str = "", tenant: str = "") -> None:
-        window = self._note_slow(ts)
-        window.strikes += 1
+    def note_strike(
+        self, ts: float, op: str = "", tenant: str = "", strikes: int = 0,
+        error: str = "",
+    ) -> None:
+        self._tick(ts).strikes += 1
         self.totals["strikes"] += 1
-        self.ring.append((POLICY_STRIKE, ts, op, tenant))
+        self._log((POLICY_STRIKE, ts, op, tenant))
         self._maybe_dump("policy_strike", ts)
 
-    def note_quarantine(self, ts: float, policy: str = "") -> None:
-        window = self._note_slow(ts)
-        window.quarantines += 1
+    def note_quarantine(
+        self, ts: float, policy: str = "", fallback: str = "", strikes: int = 0
+    ) -> None:
+        self._tick(ts).quarantines += 1
         self.totals["quarantines"] += 1
-        self.ring.append((QUARANTINE, ts, policy))
+        self._log((QUARANTINE, ts, policy))
         self._maybe_dump("quarantine", ts)
 
-    def note_elastic(self, kind: str, ts: float, subject: str) -> None:
-        """Monitor-tier intake for rare elastic events (detach/resize).
-
-        ``kind`` is ``"detach"``, ``"resize"``, ``"snapshot"`` or
-        ``"restore"``; ``subject`` is the tenant, device, or checkpoint
-        label. Counted in totals and dropped into the flight ring —
-        elastic reconfiguration is exactly the context a post-mortem needs.
-        """
-        self._note_slow(ts)
-        key = _ELASTIC_TOTALS[kind]
-        self.totals[key] = self.totals.get(key, 0) + 1
-        self.ring.append((kind, ts, subject))
-        self._maybe_dump(f"{kind}:{subject}", ts)
+    def note_elastic(self, kind: str, ts: float, subject: str, **fields: Any) -> None:
+        self._tick(ts)
+        self.totals[_ELASTIC_TOTALS[kind]] += 1
+        self._log((kind, ts, subject))
+        # Tenant churn and reconfiguration are incidents worth a flight
+        # dump; a checkpoint or a resume is not.
+        if kind in (DETACH, RESIZE):
+            self._maybe_dump(f"{kind}:{subject}", ts)
 
     def _current_usage(self) -> Mapping[str, int]:
         """Per-tenant usage, "tenant/device"-keyed: exact probe when bound
@@ -1662,20 +1554,18 @@ class MonitorTracer(Tracer):
       runs, every event is retained *and* folded into the monitor.
     * ``keep_events=False`` (the default, the "monitor tier") — the cheap
       always-on configuration. The tracer reports ``enabled=False`` so
-      every full-trace emit site keeps its untraced fast path, and sets
-      ``monitoring=True`` so the sites the monitor cares about call the
-      ``RuntimeMonitor.note_*`` fast intake directly (no kwargs dict, no
-      :class:`TraceEvent`). Nothing is retained, and both ``hint()`` and
-      ``scope()`` degrade to a shared no-op scope — per-operand hint and
-      attribution scopes were the largest costs of the tier, and the only
-      attribution the monitor still wants (copy cause) travels through
-      :attr:`RuntimeMonitor.copy_cause` instead.
+      every generic emit site keeps its untraced fast path, and binds each
+      typed event method (``telemetry.trace.SINK_METHODS``) to the monitor's
+      ``note_<kind>`` fold: a site's call lands in the fold directly, with
+      no kwargs dict and no :class:`TraceEvent`. Nothing is retained, and
+      both ``hint()`` and ``scope()`` degrade to a shared no-op scope —
+      per-operand hint and attribution scopes were the largest costs of
+      the tier; the one attribution the monitor still wants (evictions'
+      copies) travels through the scope ``note_evict`` returns.
 
     Either way the monitor is pure observation — it never advances the
-    clock — so results are bit-identical with monitoring on or off.
+    clock — so results are bit-identical with the monitor on or off.
     """
-
-    monitoring = True
 
     def __init__(
         self,
@@ -1687,13 +1577,12 @@ class MonitorTracer(Tracer):
         super().__init__(clock)
         self.monitor = monitor if monitor is not None else RuntimeMonitor()
         self.keep_events = keep_events
-        # Instance attribute (shadowing the class default) so the hot-site
-        # ``tracer.monitoring`` check hits the instance dict directly.
-        self.monitoring = True
         if keep_events:
             self.monitor.set_alert_sink(self.events.append)
         else:
             self.enabled = False
+            for name in SINK_METHODS:
+                setattr(self, name, getattr(self.monitor, f"note_{name}"))
 
     def hint(self, kind: str, subject: object):
         if self.keep_events:
@@ -1706,19 +1595,7 @@ class MonitorTracer(Tracer):
         return _NULL_SCOPE
 
     def emit(self, kind: str, **args: Any) -> TraceEvent:
-        scopes = self._scopes
-        if scopes:
-            cause = scopes[-1][0]
-            root, root_ts = scopes[0]
-        else:
-            cause, root, root_ts = "", "", None
-        event = TraceEvent(
-            self.clock.now, kind, args, cause, root, root_ts, self.stream
-        )
-        if self.keep_events:
-            self.events.append(event)
-        self.monitor.observe(event)
-        return event
+        return self.emit_at(self.clock.now, kind, **args)
 
     def emit_at(self, ts: float, kind: str, **args: Any) -> TraceEvent:
         scopes = self._scopes

@@ -31,26 +31,40 @@ context manager (no per-call allocation), and hot paths guard event
 construction with ``if tracer.enabled:`` so no argument dicts are built.
 Tracing never advances the clock, so enabling it cannot change results.
 
-**The monitor tier.** Between off and full tracing sits a third tier, the
-always-on runtime monitor (``telemetry.monitor``). Its tracer reports
-``enabled=False`` — so every full-trace emit site keeps its untraced fast
-path — but sets ``monitoring=True``, and the handful of sites whose data
-the monitor folds (kernels, stalls, copies, evictions, allocations,
-faults) add an ``elif tracer.monitoring:`` branch that calls a
-``RuntimeMonitor.note_*`` method directly: positional arguments only, no
-kwargs dict, no :class:`TraceEvent`. That keeps the tier cheap enough to
-leave on for every run (see docs/observability.md for the measured cost).
+**One event contract.** The event kinds the runtime monitor folds (kernel,
+stall, copy, alloc, free, evict, prefetch, gc, oom_retry, copy_retry,
+fault, recovery_step, recovery, strike, quarantine, elastic) each have one
+typed method, listed in :data:`SINK_METHODS`. An instrumented site makes
+one call behind one guard, ``if tracer.active: tracer.copy(...)``, and the
+tier decides what the call costs:
+
+* :class:`Tracer` defines the methods and turns each call into exactly the
+  :class:`TraceEvent` records a full trace keeps;
+* :class:`NullTracer` reports ``active=False``, so it never receives a
+  call (its methods are no-ops with the same signatures);
+* the cheap monitor tier (``telemetry.monitor.MonitorTracer``) binds each
+  method to the matching ``RuntimeMonitor.note_*`` fold, so the call lands
+  in the fold with no event built and no wrapper frame in between.
+
+Kinds only the full trace records (``hint``, ``place``, ``decision``,
+``setdirty``, ``defrag``, ``evictfrom``, ``kernel_start``, ...) keep the
+generic :meth:`Tracer.emit` behind ``if tracer.enabled:``, which is False
+in the cheap tier. See docs/observability.md for the measured cost.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping
+import functools
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from contextlib import AbstractContextManager
+
     from repro.sim.clock import SimClock
 
 __all__ = [
     "TraceEvent",
+    "SINK_METHODS",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -102,6 +116,14 @@ RESTORE = "restore"        # execution resumed from a checkpoint
 # when it reaches a final outcome, carrying the end-to-end latency — the
 # per-request attribution `repro serve` reports percentiles over.
 REQUEST = "request"        # a serving request reached a final outcome
+
+# Elastic kind -> the event field naming its subject (Tracer.elastic).
+ELASTIC_SUBJECTS = {
+    DETACH: "tenant",
+    RESIZE: "device",
+    SNAPSHOT: "label",
+    RESTORE: "label",
+}
 
 EVENT_KINDS = frozenset(
     {
@@ -234,14 +256,23 @@ class _NullScope:
 _NULL_SCOPE = _NullScope()
 
 
+# The typed event contract: one :class:`Tracer` method per event kind the
+# monitor folds. ``NullTracer`` mirrors them as no-ops and the cheap
+# monitor tier binds them to ``RuntimeMonitor.note_<kind>``.
+SINK_METHODS = (
+    "kernel", "stall", "copy", "alloc", "free", "evict", "prefetch", "gc",
+    "oom_retry", "copy_retry", "fault", "recovery_step", "recovery",
+    "strike", "quarantine", "elastic",
+)
+
+
 class Tracer:
     """Collects :class:`TraceEvent` records against a virtual clock."""
 
     enabled = True
-    # True only on the monitor-tier tracer (telemetry.monitor.MonitorTracer):
-    # instrumented sites check it *after* `enabled`, so the flag costs the
-    # untraced path one extra class-attribute load on the miss branch only.
-    monitoring = False
+    # True when some consumer takes the typed event calls: the guard every
+    # instrumented site checks before making one.
+    active = True
 
     def __init__(self, clock: "SimClock") -> None:
         self.clock = clock
@@ -281,6 +312,156 @@ class Tracer:
         event = TraceEvent(ts, kind, args, cause, root, root_ts, self.stream)
         self.events.append(event)
         return event
+
+    # -- the typed event contract (SINK_METHODS) ----------------------------
+    # ``ts`` is the event's virtual time; each method takes the fields the
+    # full trace records for its kind and emits its kind's event(s). Field
+    # order is part of the output: the Chrome trace export writes event
+    # args in insertion order. To add a kind, see CONTRIBUTING.md.
+
+    def kernel(
+        self, ts: float, seconds: float, compute: float = 0.0,
+        memory: float = 0.0, fixed: float = 0.0, kernel: str = "",
+        phase: str = "",
+    ) -> None:
+        """A kernel finished: its duration and that duration's split."""
+        self.emit_at(
+            ts, KERNEL_END, kernel=kernel, seconds=seconds, compute=compute,
+            memory=memory, fixed=fixed, phase=phase,
+        )
+
+    def stall(
+        self, ts: float, seconds: float, kernel: str = "",
+        objects: Sequence[str] = (), charged: Sequence[float] = (),
+    ) -> None:
+        """Execution waited on movement, charged to the late objects."""
+        self.emit_at(
+            ts, STALL, kernel=kernel, seconds=seconds, objects=list(objects),
+            charged=list(charged),
+        )
+
+    def copy(
+        self, start_ts: float, end_ts: float, nbytes: int, src: str, dst: str,
+        seconds: float | None = None, threads: int = 0, seq: int = 0,
+    ) -> None:
+        """One copy ran over ``[start_ts, end_ts]`` (``seconds`` exact)."""
+        if seconds is None:
+            seconds = end_ts - start_ts
+        self.emit_at(
+            start_ts, COPY_START, src=src, dst=dst, nbytes=nbytes,
+            threads=threads, seconds=seconds, seq=seq,
+        )
+        self.emit_at(end_ts, COPY_END, src=src, dst=dst, nbytes=nbytes, seq=seq)
+
+    # alloc/free: the event's stream is the tracer's own tag, which is what
+    # the ``stream`` argument carries.
+
+    def alloc(
+        self, ts: float, device: str, nbytes: int, offset: int | None,
+        stream: str, obj: str = "",
+    ) -> None:
+        """A region of ``nbytes`` was allocated at ``offset``."""
+        named = {"obj": obj} if obj else {}
+        self.emit_at(
+            ts, ALLOC, device=device, **named, offset=offset, nbytes=nbytes
+        )
+
+    def free(
+        self, ts: float, device: str, nbytes: int, offset: int | None,
+        stream: str, obj: str = "",
+    ) -> None:
+        """The region at ``offset`` was freed."""
+        named = {"obj": obj} if obj else {}
+        self.emit_at(
+            ts, FREE, device=device, **named, offset=offset, nbytes=nbytes
+        )
+
+    def evict(
+        self, ts: float, obj: str, nbytes: int, src: str = "", dst: str = "",
+        clean: bool = False,
+    ) -> AbstractContextManager[Any]:
+        """A policy evicts ``obj``; the copies made inside the returned
+        scope are attributed to the eviction."""
+        self.emit_at(
+            ts, EVICT, obj=obj, src=src, dst=dst, nbytes=nbytes, clean=clean
+        )
+        return self.scope("evict", obj)
+
+    def prefetch(
+        self, ts: float, obj: str, nbytes: int, src: str = "", dst: str = ""
+    ) -> None:
+        """A policy moved ``obj`` from slow to fast memory."""
+        self.emit_at(ts, PREFETCH, obj=obj, src=src, dst=dst, nbytes=nbytes)
+
+    def gc(self, ts: float, seconds: float) -> None:
+        """A garbage collection paused execution for ``seconds``."""
+        self.emit_at(ts, GC, seconds=seconds)
+
+    def oom_retry(self, ts: float, obj: str = "", nbytes: int = 0) -> None:
+        """An allocation failed and goes to the recovery ladder."""
+        self.emit_at(ts, OOM_RETRY, obj=obj, nbytes=nbytes)
+
+    def copy_retry(
+        self, ts: float, reason: str = "", src: str = "", dst: str = "",
+        nbytes: int = 0, attempt: int = 0,
+    ) -> None:
+        """A copy attempt failed or was corrupted and is retried."""
+        self.emit_at(
+            ts, COPY_RETRY, src=src, dst=dst, nbytes=nbytes, attempt=attempt,
+            reason=reason,
+        )
+
+    def fault(
+        self, ts: float, site: str, device: str = "", op: str = "",
+        index: int = 0, **detail: Any,
+    ) -> None:
+        """The fault injector fired at ``site``."""
+        self.emit_at(
+            ts, FAULT, site=site, device=device, op=op, index=index, **detail
+        )
+
+    def recovery_step(
+        self, ts: float, step: str, tenant: str = "", device: str = "",
+        requested: int = 0, free: int = 0, acted: bool = False,
+    ) -> None:
+        """The recovery ladder tried one rung."""
+        self.emit_at(
+            ts, RECOVERY_STEP, step=step, device=device, requested=requested,
+            free=free, acted=acted, tenant=tenant,
+        )
+
+    def recovery(
+        self, ts: float, step: str, tenant: str = "", device: str = "",
+        requested: int = 0, steps: str = "",
+    ) -> None:
+        """The recovery ladder recovered the allocation at ``step``."""
+        self.emit_at(
+            ts, RECOVERY, step=step, device=device, requested=requested,
+            steps=steps, tenant=tenant,
+        )
+
+    def strike(
+        self, ts: float, op: str = "", tenant: str = "", strikes: int = 0,
+        error: str = "",
+    ) -> None:
+        """The policy watchdog caught a policy failure."""
+        self.emit_at(
+            ts, POLICY_STRIKE, op=op, strikes=strikes, error=error,
+            tenant=tenant,
+        )
+
+    def quarantine(
+        self, ts: float, policy: str = "", fallback: str = "", strikes: int = 0
+    ) -> None:
+        """The watchdog switched from ``policy`` to its fallback."""
+        self.emit_at(
+            ts, QUARANTINE, policy=policy, fallback=fallback, strikes=strikes
+        )
+
+    def elastic(self, kind: str, ts: float, subject: str, **fields: Any) -> None:
+        """An elastic operation (detach, resize, snapshot, restore) on
+        ``subject``; see :data:`ELASTIC_SUBJECTS` for its field name."""
+        self.emit_at(ts, kind, **{ELASTIC_SUBJECTS[kind]: subject}, **fields)
 
     # -- attribution scopes -------------------------------------------------
 
@@ -324,7 +505,7 @@ class NullTracer:
     """The zero-cost disabled tracer; see the module docstring contract."""
 
     enabled = False
-    monitoring = False
+    active = False
     events: tuple[TraceEvent, ...] = ()
     cause = ""
     root = ""
@@ -345,5 +526,21 @@ class NullTracer:
     def clear(self) -> None:
         pass
 
+
+def _never_called(method: Any) -> Any:
+    """A no-op with ``method``'s signature. Sites guard every typed call
+    with ``tracer.active``, so the null tier never receives one; it still
+    exposes the contract so the tiers stay interchangeable."""
+
+    @functools.wraps(method)
+    def disabled(self: Any, *args: Any, **fields: Any) -> Any:
+        return _NULL_SCOPE
+
+    return disabled
+
+
+for _name in SINK_METHODS:
+    setattr(NullTracer, _name, _never_called(getattr(Tracer, _name)))
+del _name
 
 NULL_TRACER = NullTracer()
