@@ -65,7 +65,8 @@ __all__ = [
 ]
 
 SNAPSHOT_FORMAT = "repro-runtime-snapshot"
-SNAPSHOT_VERSION = 1
+# Version 2: a 2LM run's DRAM cache pickles a run-length tag store.
+SNAPSHOT_VERSION = 2
 
 
 @dataclass

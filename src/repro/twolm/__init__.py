@@ -6,11 +6,11 @@ of it [4]. The paper's baseline runs the exact same workload on this
 configuration; Figures 2-6 compare against it.
 
 :class:`~repro.twolm.dramcache.DramCacheSim` reproduces the tag-array
-behaviour (hits, clean misses, dirty misses — Figure 4's counters) with
-vectorised bulk-range accesses, and :class:`~repro.twolm.system.TwoLMSystem`
-wraps it with the same preallocated-heap allocator CachedArrays uses (the
-paper uses the CachedArrays allocator as the 2LM baseline allocator too,
-Section IV-A).
+behaviour (hits, clean misses, dirty misses — Figure 4's counters) over
+bulk address ranges on a run-length tag store, and
+:class:`~repro.twolm.system.TwoLMSystem` wraps it with the same
+preallocated-heap allocator CachedArrays uses (the paper uses the
+CachedArrays allocator as the 2LM baseline allocator too, Section IV-A).
 """
 
 from repro.twolm.dramcache import CacheStats, DramCacheSim

@@ -96,6 +96,19 @@ class TestPauseResume:
             resume_snapshot(snap, pause_after=5)
 
 
+class TestTwoLMPauseResume:
+    def test_2lm_snapshot_file_round_trip_matches_uninterrupted_digest(
+        self, tmp_path
+    ):
+        """The DRAM cache's tag state survives pause, pickle and resume."""
+        config = _config()
+        straight = digest_mode_result(run_trace_mode(_trace(), "2LM:M", config))
+        snap = checkpoint_trace_mode(_trace(), "2LM:M", config, pause_after=9)
+        assert isinstance(snap, RuntimeSnapshot)
+        loaded = load_snapshot(save_snapshot(snap, str(tmp_path / "2lm.snap")))
+        assert digest_mode_result(resume_snapshot(loaded)) == straight
+
+
 class TestEnvelope:
     def test_round_trip_through_a_file(self, tmp_path, uninterrupted_digest):
         snap = checkpoint_trace_mode(_trace(), MODE, _config(), pause_after=9)

@@ -158,9 +158,37 @@ class TestManagement:
         sim.access_range(0, 128, is_write=False)
         assert sim.resident_fraction(0, 256) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("ways", [1, 4])
+    def test_invariants_hold_after_mixed_operations(self, ways):
+        sim = DramCacheSim(4 * KiB, 64 * KiB, line_size=64, ways=ways)
+        sim.access_range(0, 8 * KiB, is_write=True)
+        sim.invalidate_range(KiB, KiB)
+        sim.access_range(512, 2 * KiB, is_write=False)
+        sim.check_invariants()
+
     def test_reset(self):
         sim = make()
         sim.access_range(0, 256, is_write=True)
         sim.reset()
         assert sim.stats.accesses == 0
         assert sim.dirty_lines() == 0
+
+
+class TestHelperRangeChecks:
+    """The helpers reject the ranges ``access_range`` rejects."""
+
+    def test_resident_fraction_rejects_empty_range(self):
+        with pytest.raises(ConfigurationError):
+            make().resident_fraction(128, 0)
+
+    def test_resident_fraction_rejects_negative_address(self):
+        # Line -1 must not read as resident in an empty cache.
+        with pytest.raises(ConfigurationError):
+            make().resident_fraction(-64, 64)
+
+    def test_invalidate_range_rejects_ranges_outside_backing_store(self):
+        sim = make(cache=KiB, backing=4 * KiB)
+        with pytest.raises(ConfigurationError):
+            sim.invalidate_range(4 * KiB - 32, 64)
+        with pytest.raises(ConfigurationError):
+            sim.invalidate_range(0, 0)

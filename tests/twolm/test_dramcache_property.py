@@ -1,7 +1,7 @@
-"""Property test: vectorised cache simulator vs a scalar reference model."""
+"""Property tests: the cache simulator vs a scalar reference model."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.twolm.dramcache import DramCacheSim
 
@@ -15,11 +15,12 @@ class ScalarCache:
         self.tags: dict[int, int] = {}
         self.dirty: dict[int, bool] = {}
 
+    def _lines(self, addr: int, size: int) -> range:
+        return range(addr // self.line, (addr + size - 1) // self.line + 1)
+
     def access(self, addr: int, size: int, is_write: bool):
         hits = clean = dirty = 0
-        first = addr // self.line
-        last = (addr + size - 1) // self.line
-        for line in range(first, last + 1):
+        for line in self._lines(addr, size):
             index = line % self.num_sets
             if self.tags.get(index) == line:
                 hits += 1
@@ -33,6 +34,21 @@ class ScalarCache:
                 self.tags[index] = line
                 self.dirty[index] = is_write
         return hits, clean, dirty
+
+    def invalidate(self, addr: int, size: int) -> None:
+        for line in self._lines(addr, size):
+            index = line % self.num_sets
+            if self.tags.get(index) == line:
+                del self.tags[index]
+                del self.dirty[index]
+
+    def resident_fraction(self, addr: int, size: int) -> float:
+        lines = self._lines(addr, size)
+        found = sum(self.tags.get(line % self.num_sets) == line for line in lines)
+        return found / len(lines)
+
+    def dirty_lines(self) -> int:
+        return sum(self.dirty.values())
 
 
 @st.composite
@@ -48,19 +64,53 @@ def access_sequences(draw):
     ]
 
 
-@given(access_sequences(), st.sampled_from([4, 8, 16]))
+OPS = ("read", "write", "invalidate", "resident")
+
+
+@st.composite
+def op_sequences(draw):
+    """Accesses mixed with the helpers; sizes up to 3000 B span up to 47
+    lines, so with 4-16 sets many passes wrap past the last set and many
+    accesses are longer than the cache."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    return [
+        (
+            draw(st.sampled_from(OPS)),
+            draw(st.integers(min_value=0, max_value=8000)),
+            draw(st.integers(min_value=1, max_value=3000)),
+        )
+        for _ in range(n)
+    ]
+
+
+BACKING = 16384
+
+
+@given(op_sequences(), st.sampled_from([4, 8, 16]))
+# A write that wraps, a read hit that must keep it dirty, then an eviction.
+@example([("write", 192, 256), ("read", 0, 64), ("read", 256, 64)], 4)
+# An access longer than the cache, half invalidated, then re-read.
+@example([("write", 0, 1000), ("invalidate", 640, 192), ("read", 0, 1000)], 8)
 @settings(max_examples=80, deadline=None)
-def test_matches_scalar_reference(accesses, num_sets):
+def test_matches_scalar_reference(ops, num_sets):
     line = 64
-    sim = DramCacheSim(num_sets * line, 16384, line_size=line)
+    sim = DramCacheSim(num_sets * line, BACKING, line_size=line)
     ref = ScalarCache(num_sets, line)
-    for addr, size, is_write in accesses:
-        size = min(size, 16384 - addr)
-        if size <= 0:
-            continue
-        result = sim.access_range(addr, size, is_write=is_write)
-        expected = ref.access(addr, size, is_write)
-        assert (result.hits, result.clean_misses, result.dirty_misses) == expected
+    for op, addr, size in ops:
+        size = min(size, BACKING - addr)
+        if op == "invalidate":
+            sim.invalidate_range(addr, size)
+            ref.invalidate(addr, size)
+        elif op == "resident":
+            assert sim.resident_fraction(addr, size) == ref.resident_fraction(
+                addr, size
+            )
+        else:
+            result = sim.access_range(addr, size, is_write=op == "write")
+            expected = ref.access(addr, size, op == "write")
+            assert (result.hits, result.clean_misses, result.dirty_misses) == expected
+        sim.check_invariants()
+        assert sim.dirty_lines() == ref.dirty_lines()
 
 
 @given(access_sequences())
