@@ -33,19 +33,19 @@ EXPERIMENTS = ("table3", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "ext")
 
 
 def _load_events(path: str):
-    """Open a JSONL trace as a lazy, re-iterable :class:`EventStream`.
+    """Open a JSONL trace as a lazy :class:`EventStream`.
 
-    The analyzers stream the file per pass instead of materializing the
-    whole run (O(1) memory on multi-million-event traces). The first event
-    is probed eagerly so a missing file or a non-JSONL file still fails
-    right here with a friendly message rather than mid-analysis.
+    :func:`~repro.telemetry.ledger.fold_trace` streams the file in one pass
+    instead of materializing the whole run (O(1) memory in events on
+    multi-million-event traces). The first event is probed eagerly so a
+    missing file or a non-JSONL file still fails right here with a friendly
+    message rather than mid-analysis.
     """
     from repro.telemetry.export import EventStream, iter_jsonl
 
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            for _ in iter_jsonl(fp):
-                break
+            next(iter_jsonl(fp), None)
     except OSError as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
@@ -108,7 +108,8 @@ def _profile(args, config: ExperimentConfig) -> int:
 
 
 def _explain(args, config: ExperimentConfig) -> int:
-    from repro.telemetry.diff import explain_run, stall_attribution, streams_in
+    from repro.telemetry.diff import explain_run
+    from repro.telemetry.ledger import fold_trace
 
     if len(args.paths) != 1:
         raise ConfigurationError(
@@ -116,21 +117,21 @@ def _explain(args, config: ExperimentConfig) -> int:
             "(write one with: profile --model ... --jsonl run.jsonl)"
         )
     path = args.paths[0]
-    events = _load_events(path)
+    fold = fold_trace(_load_events(path))
     # A multi-stream trace (a co-located run) gets one report per tenant
     # stream plus the cross-tenant stall attribution; a single-stream trace
     # keeps the historical single-report output.
-    streams = streams_in(events)
+    streams = fold.streams
     if not streams:
-        explanation = explain_run(events, label=path, ping_pong_window=args.window)
+        explanation = explain_run(fold, label=path, ping_pong_window=args.window)
         return _report(
             args, explanation.to_json(), explanation.render(), "explanation"
         )
     explanations = [
-        explain_run(events, label=path, ping_pong_window=args.window, stream=name)
+        explain_run(fold, label=path, ping_pong_window=args.window, stream=name)
         for name in streams
     ]
-    attribution = stall_attribution(events)
+    attribution = fold.stall_report()
     lines = []
     for exp in explanations:
         lines += [exp.render(), ""]
@@ -155,6 +156,7 @@ def _explain(args, config: ExperimentConfig) -> int:
 
 def _diff(args, config: ExperimentConfig) -> int:
     from repro.telemetry.diff import diff_runs
+    from repro.telemetry.ledger import fold_trace
 
     if len(args.paths) != 2:
         raise ConfigurationError(
@@ -162,8 +164,8 @@ def _diff(args, config: ExperimentConfig) -> int:
             "python -m repro diff a.jsonl b.jsonl"
         )
     run_diff = diff_runs(
-        _load_events(args.paths[0]),
-        _load_events(args.paths[1]),
+        fold_trace(_load_events(args.paths[0])),
+        fold_trace(_load_events(args.paths[1])),
         label_a=args.paths[0],
         label_b=args.paths[1],
         ping_pong_window=args.window,

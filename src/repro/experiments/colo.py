@@ -18,7 +18,7 @@ Protocol:
    finish time is the slowdown baseline.
 3. All tenants then run **co-located** on one shared runtime with event
    tracing on, so every stall is attributed to the (tenant, object) pair
-   that caused it (:func:`repro.telemetry.diff.stall_attribution`).
+   that caused it (:meth:`repro.telemetry.ledger.TraceFold.stall_report`).
 
 Reported per tenant: solo and co-located finish times (virtual seconds,
 rescaled to paper magnitudes) and the slowdown ratio. Reported overall:
@@ -45,7 +45,7 @@ from repro.policies.modes import ModeConfig, mode as resolve_mode
 from repro.runtime.executor import CachedArraysAdapter, Executor, RunResult
 from repro.runtime.scheduler import StreamScheduler
 from repro.telemetry.counters import TrafficSnapshot
-from repro.telemetry.diff import stall_attribution
+from repro.telemetry.ledger import fold_trace
 from repro.units import GB
 from repro.workloads.annotate import annotate
 from repro.workloads.dlrm import dlrm_trace
@@ -139,7 +139,7 @@ class ColoResult:
     tenants: list[TenantOutcome]
     makespan_seconds: float  # scaled virtual seconds
     traffic: dict[str, TrafficSnapshot]  # aggregate, co-located run
-    attribution: dict  # stall_attribution() of the co-located trace
+    attribution: dict  # TraceFold.stall_report() of the co-located trace
     mode: ModeConfig
     config: ExperimentConfig
     dram_bytes: int  # chosen capacity, paper magnitudes
@@ -313,7 +313,7 @@ def run_colo(
     colo_cfg = replace(sized, tracing=True)
     finish, results, runtime = _run_group(pairs, colo_cfg, mode_cfg)
     traffic = runtime.traffic()
-    attribution = stall_attribution(list(runtime.tracer.events))
+    attribution = fold_trace(runtime.tracer.events).stall_report()
     makespan = max(finish.values())
     runtime.close()
 

@@ -27,14 +27,8 @@ from repro.experiments.common import (
     trace_for,
 )
 from repro.telemetry.export import to_chrome_trace
-from repro.telemetry.ledger import ObjectLedger, build_ledger
+from repro.telemetry.ledger import TraceFold, fold_trace
 from repro.telemetry.monitor import MonitorConfig
-from repro.telemetry.metrics import (
-    Attribution,
-    MetricsRegistry,
-    attribute_copies,
-    derive_metrics,
-)
 from repro.units import format_size
 
 __all__ = [
@@ -44,14 +38,13 @@ __all__ = [
 
 @dataclass
 class ProfileResult:
-    """One traced run plus its movement attribution."""
+    """One traced run plus its one-pass fold (copies by cause, latency and
+    cascade histograms, the object ledger)."""
 
     model: str
     mode: str
     result: ModeResult
-    attribution: Attribution
-    metrics: MetricsRegistry
-    ledger: ObjectLedger
+    fold: TraceFold
 
     @property
     def events(self) -> list:
@@ -91,21 +84,14 @@ def run_profile(
     )
     trace = trace_for(model, config)
     result = run_trace_mode(trace, mode, config, model_label=model)
-    events = result.run.trace
-    registry = derive_metrics(events)
     return ProfileResult(
-        model=model,
-        mode=mode,
-        result=result,
-        attribution=attribute_copies(events),
-        metrics=registry,
-        ledger=build_ledger(events),
+        model=model, mode=mode, result=result, fold=fold_trace(result.run.trace)
     )
 
 
 def render(profile: ProfileResult, *, top: int = 15) -> str:
     """The text attribution report: top movers by cause."""
-    attribution = profile.attribution
+    fold = profile.fold
     iteration = profile.result.iteration
     scale = profile.result.config.scale
     lines = [
@@ -120,44 +106,45 @@ def render(profile: ProfileResult, *, top: int = 15) -> str:
         f"movement {iteration.movement_seconds * scale:.2f} s; "
         f"gc {iteration.gc_seconds * scale:.2f} s"
     )
-    total = attribution.total_bytes
+    total = fold.copy_bytes
     lines.append(
-        f"copied {format_size(total * scale)} in {attribution.total_copies} "
-        f"copies; {attribution.attributed_fraction:.1%} of bytes attributed "
+        f"copied {format_size(total * scale)} in {fold.copy_count} "
+        f"copies; {fold.copy_attributed_fraction:.1%} of bytes attributed "
         "to a root cause"
     )
-    if attribution.buckets:
+    causes = fold.movers()
+    if causes:
         lines.append("")
         lines.append("top movers by cause:")
         rows = []
-        for bucket in attribution.buckets[:top]:
-            share = bucket.nbytes / total if total else 0.0
+        for cause, copies, nbytes in causes[:top]:
+            share = nbytes / total if total else 0.0
             rows.append(
                 (
-                    bucket.cause or "(unattributed)",
-                    bucket.copies,
-                    format_size(bucket.nbytes * scale),
+                    cause or "(unattributed)",
+                    copies,
+                    format_size(nbytes * scale),
                     f"{share:.1%}",
                 )
             )
         lines.append(report.table(("cause", "copies", "bytes", "share"), rows))
-        dropped = len(attribution.buckets) - top
+        dropped = len(causes) - top
         if dropped > 0:
             lines.append(f"... and {dropped} more cause(s)")
-    latency = profile.metrics.as_dict().get("trace.hint_to_movement_seconds")
-    if isinstance(latency, dict) and latency["count"]:
+    latency = fold.hint_to_movement
+    if latency.count:
         lines.append(
-            f"hint-to-movement latency: mean {latency['mean'] * scale * 1e3:.2f} ms, "
-            f"max {latency['max'] * scale * 1e3:.2f} ms "
-            f"over {latency['count']} copies (paper scale)"
+            f"hint-to-movement latency: mean {latency.mean * scale * 1e3:.2f} ms, "
+            f"max {latency.maximum * scale * 1e3:.2f} ms "
+            f"over {latency.count} copies (paper scale)"
         )
-    cascade = profile.metrics.as_dict().get("trace.eviction_cascade_depth")
-    if isinstance(cascade, dict) and cascade["count"]:
+    cascade = fold.eviction_cascade
+    if cascade.count:
         lines.append(
-            f"eviction scans: {cascade['count']}, mean cascade depth "
-            f"{cascade['mean']:.1f}, max {cascade['max']:.0f}"
+            f"eviction scans: {cascade.count}, mean cascade depth "
+            f"{cascade.mean:.1f}, max {cascade.maximum:.0f}"
         )
-    ledger = profile.ledger
+    ledger = fold.ledgers[""]
     churn = ledger.churn()
     if churn["evictions"] or churn["prefetches"]:
         lines.append("")

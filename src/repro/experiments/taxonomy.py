@@ -40,7 +40,7 @@ from repro.experiments.common import (
     split_csv,
 )
 from repro.policies.modes import MODES
-from repro.telemetry.ledger import build_ledger
+from repro.telemetry.ledger import fold_trace
 from repro.telemetry.monitor import MonitorConfig
 from repro.telemetry.taxonomy import (
     CostModel,
@@ -292,7 +292,7 @@ def run_taxonomy(
             result = run_trace_mode(trace, mode_name, traced)
             events = result.run.trace
             if mode_name == reference_mode:
-                ledger = build_ledger(events)
+                ledger = fold_trace(events).ledgers[""]
                 wall = max((e.ts for e in events), default=0.0)
                 taxonomy = classify_trace(
                     events,

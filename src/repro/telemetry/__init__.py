@@ -6,10 +6,13 @@ traffic (Figure 5), DRAM-cache tag statistics (Figure 4), bus utilisation
 the equivalent instrumentation for the simulated memory system, plus the
 structured event-tracing layer (:mod:`repro.telemetry.trace`), the metrics
 registry (:mod:`repro.telemetry.metrics`), the Perfetto/Chrome-trace and
-JSONL exporters (:mod:`repro.telemetry.export`), the object-lifetime ledger
-(:mod:`repro.telemetry.ledger`), the cross-run differential analyzer
-(:mod:`repro.telemetry.diff`), and the DAMOV-style movement-bottleneck
-classifier (:mod:`repro.telemetry.taxonomy`) — see ``docs/observability.md``.
+JSONL exporters (:mod:`repro.telemetry.export`), the one-pass trace fold
+behind the offline analyzers (:func:`~repro.telemetry.ledger.fold_trace`:
+per-stream kernel spans and object-lifetime ledgers, copies by root cause,
+stall attribution, latency histograms), the cross-run differential analyzer
+that reads it (:mod:`repro.telemetry.diff`), and the DAMOV-style
+movement-bottleneck classifier (:mod:`repro.telemetry.taxonomy`) — see
+``docs/observability.md``.
 """
 
 from repro.telemetry.counters import TrafficCounters, TrafficSnapshot
@@ -18,9 +21,6 @@ from repro.telemetry.diff import (
     RunExplanation,
     diff_runs,
     explain_run,
-    parse_run,
-    stall_attribution,
-    streams_in,
 )
 from repro.telemetry.export import (
     JSONL_SCHEMA_VERSION,
@@ -34,11 +34,13 @@ from repro.telemetry.export import (
     write_jsonl,
 )
 from repro.telemetry.ledger import (
-    LedgerBuilder,
+    KernelSpan,
     ObjectHistory,
     ObjectLedger,
     PingPong,
-    build_ledger,
+    RunShape,
+    TraceFold,
+    fold_trace,
     label_subject,
 )
 from repro.telemetry.monitor import (
@@ -55,13 +57,10 @@ from repro.telemetry.monitor import (
     RuntimeMonitor,
 )
 from repro.telemetry.metrics import (
-    Attribution,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    attribute_copies,
-    derive_metrics,
 )
 from repro.telemetry.stats import BusUtilization, summarize_series
 from repro.telemetry.taxonomy import (
@@ -99,9 +98,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "derive_metrics",
-    "attribute_copies",
-    "Attribution",
     "to_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",
@@ -122,19 +118,18 @@ __all__ = [
     "MonitorConfig",
     "RuntimeMonitor",
     "MonitorTracer",
-    "LedgerBuilder",
+    "TraceFold",
+    "fold_trace",
+    "KernelSpan",
+    "RunShape",
     "ObjectLedger",
     "ObjectHistory",
     "PingPong",
-    "build_ledger",
     "label_subject",
     "RunDiff",
     "RunExplanation",
     "diff_runs",
     "explain_run",
-    "parse_run",
-    "stall_attribution",
-    "streams_in",
     "CauseRollup",
     "CostModel",
     "Decomposition",

@@ -7,15 +7,18 @@ A is the same logical kernel as launch *i* in run B. That alignment turns
 
     total = lead + sum(kernel spans) + sum(inter-kernel gaps)
 
-Every virtual second of the end-to-end delta lands in one aligned segment,
-so the per-segment deltas sum to the total delta — attribution is
+Every virtual second of the end-to-end delta lands in one segment — an
+aligned one, or the ``unaligned`` tail past the shorter run's last kernel —
+so the per-segment deltas sum to the total delta: attribution is
 structural, not sampled. Within a segment, the delta splits into compute
 (the kernel's own ``seconds``), movement (copies executed inside the span,
 grouped by root cause), and stall (async waits); and the root-cause labels
 name the objects responsible, which the :mod:`~repro.telemetry.ledger`
 cross-references for ping-pong signatures.
 
-Two entry points, both consumed by ``python -m repro``:
+Two entry points, both consumed by ``python -m repro`` and both reading
+the :class:`~repro.telemetry.ledger.TraceFold` that
+:func:`~repro.telemetry.ledger.fold_trace` makes in one pass per trace:
 
 * :func:`explain_run` — single-trace report: where the time went, which
   objects moved/stalled most, who ping-pongs (``repro explain``);
@@ -25,186 +28,24 @@ Two entry points, both consumed by ``python -m repro``:
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any
 
-from repro.telemetry.ledger import ObjectLedger, build_ledger, label_subject
-from repro.telemetry.trace import (
-    COPY_START,
-    KERNEL_END,
-    KERNEL_START,
-    STALL,
-    TraceEvent,
+from repro.errors import ConfigurationError
+from repro.telemetry.ledger import (
+    KernelSpan,
+    ObjectLedger,
+    RunShape,
+    TraceFold,
+    label_subject,
 )
 
 __all__ = [
-    "KernelSpan",
-    "RunShape",
     "SegmentDelta",
     "RunDiff",
     "RunExplanation",
-    "parse_run",
     "diff_runs",
     "explain_run",
-    "streams_in",
-    "stall_attribution",
 ]
-
-
-def streams_in(events: Iterable[TraceEvent]) -> list[str]:
-    """The named execution streams present in a trace, in sorted order.
-
-    Single-tenant traces (every event's ``stream`` empty) return ``[]``.
-    """
-    return sorted({e.stream for e in events if e.stream})
-
-
-def stall_attribution(events: Iterable[TraceEvent]) -> dict[str, Any]:
-    """How much STALL time is blamed on specific (stream, object) pairs.
-
-    Stall events carry ``objects`` (the operands still in flight) and
-    ``charged`` (that stall's seconds split proportionally among them).
-    The attributed fraction is the co-location acceptance gate: it should
-    sit near 1.0 because every async wait knows exactly which copies it is
-    waiting on; it drops only for stall events emitted without payload
-    attribution (e.g. by an out-of-tree adapter).
-    """
-    total = 0.0
-    pairs: dict[tuple[str, str], float] = {}
-    for event in events:
-        if event.kind != STALL:
-            continue
-        total += float(event.args.get("seconds", 0.0))
-        objects = event.args.get("objects") or ()
-        charged = event.args.get("charged") or ()
-        for name, seconds in zip(objects, charged):
-            key = (event.stream, str(name))
-            pairs[key] = pairs.get(key, 0.0) + float(seconds)
-    attributed = sum(pairs.values())
-    return {
-        "total_stall_seconds": total,
-        "attributed_seconds": attributed,
-        "attributed_fraction": attributed / total if total > 0 else 1.0,
-        "pairs": [
-            {"stream": stream, "object": name, "seconds": seconds}
-            for (stream, name), seconds in sorted(
-                pairs.items(), key=lambda item: (-item[1], item[0])
-            )
-        ],
-    }
-
-
-class KernelSpan:
-    """One kernel launch: wall span plus its compute/movement/stall split."""
-
-    __slots__ = (
-        "index", "name", "start", "end", "compute",
-        "stall", "copy_seconds", "copy_bytes", "causes",
-    )
-
-    def __init__(self, index: int, name: str, start: float) -> None:
-        self.index = index
-        self.name = name
-        self.start = start
-        self.end = start
-        self.compute = 0.0        # the kernel's own timing (seconds arg)
-        self.stall = 0.0          # async waits inside the span
-        self.copy_seconds = 0.0   # copies started inside the span
-        self.copy_bytes = 0
-        # root cause label -> [seconds, nbytes] for copies in this span
-        self.causes: dict[str, list[float]] = {}
-
-    @property
-    def span(self) -> float:
-        return self.end - self.start
-
-    @property
-    def movement(self) -> float:
-        """Span time not explained by the kernel's own compute/memory model."""
-        return self.span - self.compute
-
-
-class RunShape:
-    """A trace parsed into lead time, kernel spans, and inter-kernel gaps."""
-
-    def __init__(
-        self,
-        kernels: list[KernelSpan],
-        gap_causes: dict[int, dict[str, list[float]]],
-        start_ts: float,
-        end_ts: float,
-    ) -> None:
-        self.kernels = kernels
-        # Copies outside any kernel span, keyed by the index of the *next*
-        # kernel (len(kernels) = after the last one). Inter-kernel time
-        # itself is implied by consecutive span boundaries.
-        self.gap_causes = gap_causes
-        self.start_ts = start_ts
-        self.end_ts = end_ts
-
-    @property
-    def total(self) -> float:
-        return self.end_ts - self.start_ts
-
-    def gap_before(self, index: int) -> float:
-        """Virtual time between kernel ``index-1``'s end and ``index``'s start."""
-        if index == 0:
-            return self.kernels[0].start - self.start_ts if self.kernels else 0.0
-        if index >= len(self.kernels):
-            return self.end_ts - self.kernels[-1].end if self.kernels else self.total
-        return self.kernels[index].start - self.kernels[index - 1].end
-
-
-def parse_run(
-    events: Iterable[TraceEvent], *, stream: str | None = None
-) -> RunShape:
-    """Fold an event stream into a :class:`RunShape` (single pass).
-
-    ``stream`` restricts the fold to one tenant's events: multi-stream
-    traces interleave several kernel sequences, so folding them unfiltered
-    would mispair kernel starts and ends across tenants. ``None`` (the
-    default) keeps every event — correct for single-stream traces.
-    """
-    kernels: list[KernelSpan] = []
-    gap_causes: dict[int, dict[str, list[float]]] = {}
-    current: KernelSpan | None = None
-    first_ts: float | None = None
-    last_ts = 0.0
-    for event in events:
-        if stream is not None and event.stream != stream:
-            continue
-        if first_ts is None:
-            first_ts = event.ts
-        if event.ts > last_ts:
-            last_ts = event.ts
-        kind = event.kind
-        if kind == KERNEL_START:
-            current = KernelSpan(
-                len(kernels), str(event.args.get("kernel", "?")), event.ts
-            )
-            kernels.append(current)
-        elif kind == KERNEL_END:
-            if current is not None:
-                current.end = event.ts
-                current.compute = float(event.args.get("seconds", 0.0))
-                current = None
-        elif kind == COPY_START:
-            seconds = float(event.args.get("seconds", 0.0))
-            nbytes = int(event.args.get("nbytes", 0))
-            root = event.root or "unattributed"
-            if current is not None:
-                current.copy_seconds += seconds
-                current.copy_bytes += nbytes
-                bucket = current.causes.setdefault(root, [0.0, 0.0])
-            else:
-                causes = gap_causes.setdefault(len(kernels), {})
-                bucket = causes.setdefault(root, [0.0, 0.0])
-            bucket[0] += seconds
-            bucket[1] += nbytes
-        elif kind == STALL and current is not None:
-            current.stall += float(event.args.get("seconds", 0.0))
-    return RunShape(
-        kernels, gap_causes, first_ts if first_ts is not None else 0.0, last_ts
-    )
 
 
 def _cause_deltas(
@@ -420,17 +261,37 @@ class RunDiff:
         return "\n".join(lines)
 
 
+def _unaligned(shape: RunShape, aligned: int) -> float:
+    """Run time after the last aligned gap: the kernels past the aligned
+    prefix and everything after them (the whole run if nothing aligned)."""
+    if len(shape.kernels) > aligned:
+        return shape.end_ts - shape.kernels[aligned].start
+    return 0.0 if aligned else shape.total
+
+
 def diff_runs(
-    events_a: Sequence[TraceEvent],
-    events_b: Sequence[TraceEvent],
+    fold_a: TraceFold,
+    fold_b: TraceFold,
     *,
     label_a: str = "A",
     label_b: str = "B",
     ping_pong_window: int = 8,
 ) -> RunDiff:
-    """Attribute the virtual-time delta between two runs of one workload."""
-    shape_a = parse_run(events_a)
-    shape_b = parse_run(events_b)
+    """Attribute the virtual-time delta between two runs of one workload.
+
+    Both folds must be single-stream: kernel alignment pairs launch *i* of
+    one kernel sequence with launch *i* of the other, which has no meaning
+    across the interleaved tenants of a co-located trace.
+    """
+    for label, fold in ((label_a, fold_a), (label_b, fold_b)):
+        if fold.streams:
+            raise ConfigurationError(
+                f"{label} holds named streams ({', '.join(fold.streams)}); "
+                "diff aligns one kernel sequence, use explain for a "
+                "per-stream report"
+            )
+    shape_a = fold_a.shapes[""]
+    shape_b = fold_b.shapes[""]
     segments: list[SegmentDelta] = []
     # Lead time before the first kernel.
     segments.append(
@@ -454,39 +315,31 @@ def diff_runs(
                 causes=_cause_deltas(ka.causes, kb.causes),
             )
         )
-        if i + 1 <= aligned:
-            gap_a = shape_a.gap_before(i + 1)
-            gap_b = shape_b.gap_before(i + 1)
-            causes = _cause_deltas(
-                shape_a.gap_causes.get(i + 1, {}),
-                shape_b.gap_causes.get(i + 1, {}),
-            )
-            if gap_a != gap_b or causes:
-                segments.append(
-                    SegmentDelta(
-                        "gap", i + 1, f"(after {kb.name})", gap_a, gap_b,
-                        movement_delta=gap_b - gap_a,
-                        causes=causes,
-                    )
+        gap_a = shape_a.gap_before(i + 1)
+        gap_b = shape_b.gap_before(i + 1)
+        causes = _cause_deltas(
+            shape_a.gap_causes.get(i + 1, {}),
+            shape_b.gap_causes.get(i + 1, {}),
+        )
+        if gap_a != gap_b or causes:
+            segments.append(
+                SegmentDelta(
+                    "gap", i + 1, f"(after {kb.name})", gap_a, gap_b,
+                    movement_delta=gap_b - gap_a,
+                    causes=causes,
                 )
+            )
     # Structural divergence: kernels past the aligned prefix.
-    tail_a = sum(
-        shape_a.kernels[i].span + shape_a.gap_before(i)
-        for i in range(aligned, len(shape_a.kernels))
-    )
-    tail_b = sum(
-        shape_b.kernels[i].span + shape_b.gap_before(i)
-        for i in range(aligned, len(shape_b.kernels))
-    )
+    tail_a = _unaligned(shape_a, aligned)
+    tail_b = _unaligned(shape_b, aligned)
     if tail_a or tail_b:
         segments.append(
             SegmentDelta(
                 "unaligned", aligned, "(unaligned kernels)", tail_a, tail_b
             )
         )
-    ledger_b = build_ledger(events_b)
     return RunDiff(
-        label_a, label_b, shape_a, shape_b, segments, ledger_b,
+        label_a, label_b, shape_a, shape_b, segments, fold_b.ledgers[""],
         ping_pong_window=ping_pong_window,
     )
 
@@ -618,24 +471,23 @@ class RunExplanation:
 
 
 def explain_run(
-    events: Sequence[TraceEvent],
+    fold: TraceFold,
     *,
     label: str = "run",
     ping_pong_window: int = 8,
-    stream: str | None = None,
+    stream: str = "",
 ) -> RunExplanation:
     """Build the single-run explanation report.
 
-    Pass ``stream`` to scope the report to one tenant of a multi-stream
-    trace (kernel spans, ledger, and ping-pong analysis all filter to that
-    tenant's events).
+    ``stream`` scopes the report to one tenant of a multi-stream trace
+    (kernel spans, ledger, and ping-pong analysis are all that tenant's);
+    the default ``""`` is the untagged stream of a single-tenant trace.
     """
-    if stream is not None:
-        events = [e for e in events if e.stream == stream]
+    if stream:
         label = f"{label}[{stream}]"
     return RunExplanation(
         label,
-        parse_run(events),
-        build_ledger(events),
+        fold.shapes[stream],
+        fold.ledgers[stream],
         ping_pong_window=ping_pong_window,
     )

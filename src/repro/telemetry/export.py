@@ -397,11 +397,11 @@ def read_jsonl(fp: IO[str]) -> list[TraceEvent]:
 class EventStream:
     """A *re-iterable* lazy view of a JSONL trace file.
 
-    The trace analyzers (`repro explain`/`diff`/`profile`) make several full
-    passes over a trace — stream discovery, then per-stream folds, then
-    stall attribution. A generator would be exhausted after the first pass,
-    so this wrapper re-opens the file on every ``iter()``: each pass streams
-    from disk with O(1) memory and no pass sees a half-consumed iterator.
+    Each ``iter()`` re-opens the file and streams it from disk with O(1)
+    memory, so a consumer that reads a trace in one pass
+    (:func:`~repro.telemetry.ledger.fold_trace` behind `repro
+    explain`/`diff`, or the monitor replay) never holds the whole run, and
+    a second pass never sees a half-consumed iterator.
     """
 
     def __init__(self, path: str) -> None:

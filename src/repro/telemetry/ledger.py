@@ -1,19 +1,31 @@
-"""Object-lifetime ledger: per-object histories folded from an event trace.
+"""Trace fold: one pass over an event trace feeds every offline analyzer.
 
-The tracer (PR 1) records *what happened*; the ledger answers *what happened
-to this object*. :class:`LedgerBuilder` folds a :class:`TraceEvent` stream —
-live from a tracer or loaded with :func:`~repro.telemetry.export.read_jsonl`
-— into one :class:`ObjectHistory` per object name:
+The tracer records *what happened*; :func:`fold_trace` reads a
+:class:`TraceEvent` stream — live from a tracer, or streamed from JSONL by
+:class:`~repro.telemetry.export.EventStream` — exactly once, with one
+dispatch on the event kind, into a :class:`TraceFold` holding everything
+``repro explain``/``diff``/``profile``, the taxonomy matrix and the
+co-location report read.
 
-* birth (first ``place``) and death (``retire`` hint, split into explicit
-  retires vs GC-driven ones via the attribution root);
-* every move (``evict``/``prefetch``) with its byte count, clean flag,
-  cause/root labels, and the kernel index it happened under;
-* residency intervals per device, from ``setprimary`` transitions;
-* dirty transitions (``setdirty``), the writeback debt history;
-* stall seconds charged to the object by the executor's proportional
-  stall-attribution (the ``objects``/``charged`` lists on ``stall`` events);
-* how often eviction decisions chose or rejected the object.
+Per execution stream (keyed by ``event.stream``; ``""`` for untagged
+events, i.e. every single-tenant trace):
+
+* a :class:`RunShape`: lead time, one :class:`KernelSpan` per launch (split
+  into compute, copies by root cause, and stall) and the copies between
+  kernels, which :mod:`~repro.telemetry.diff` aligns across runs;
+* an :class:`ObjectLedger`: one :class:`ObjectHistory` per object name —
+  birth (first ``place``) and death (``retire`` hint, split into explicit
+  retires vs GC-driven ones via the attribution root); every move
+  (``evict``/``prefetch``) with its byte count, clean flag, cause/root
+  labels and the kernel index it happened under; residency intervals per
+  device, from ``setprimary`` transitions; dirty transitions
+  (``setdirty``); stall seconds charged to the object (the
+  ``objects``/``charged`` lists on ``stall`` events); and how often
+  eviction decisions chose or rejected the object.
+
+Across the whole trace: copies and bytes per root cause, total stall
+seconds plus the seconds charged to each (stream, object) pair, and the
+hint-to-movement latency and eviction-cascade depth histograms.
 
 :class:`ObjectLedger` then supports the queries the differential analyzer
 and the profile report build on: ping-pong detection (evicted then pulled
@@ -29,11 +41,15 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
 
+from repro.telemetry.metrics import Histogram
 from repro.telemetry.trace import (
+    COPY_START,
     DECISION,
     EVICT,
+    EVICT_SCAN,
     HINT,
     KERNEL_END,
+    KERNEL_START,
     PLACE,
     PREFETCH,
     SETDIRTY,
@@ -47,9 +63,11 @@ __all__ = [
     "ResidencyInterval",
     "ObjectHistory",
     "ObjectLedger",
-    "LedgerBuilder",
     "PingPong",
-    "build_ledger",
+    "KernelSpan",
+    "RunShape",
+    "TraceFold",
+    "fold_trace",
     "label_subject",
 ]
 
@@ -249,6 +267,12 @@ class ObjectLedger:
     def get(self, name: str) -> ObjectHistory | None:
         return self.objects.get(name)
 
+    def _history(self, name: str) -> ObjectHistory:
+        history = self.objects.get(name)
+        if history is None:
+            history = self.objects[name] = ObjectHistory(name)
+        return history
+
     # -- queries -------------------------------------------------------------
 
     def ping_pongs(self, window: int = 8) -> list[PingPong]:
@@ -321,70 +345,248 @@ class ObjectLedger:
         }
 
 
-class LedgerBuilder:
-    """Single-pass fold of a trace into an :class:`ObjectLedger`.
 
-    Feed events in emission order (the tracer's list order / JSONL line
-    order); ``build`` closes any still-open residency intervals at the last
-    timestamp seen and returns the ledger. The builder keys strictly off
-    event args and attribution labels — it never needs the live objects, so
-    it works identically on a deserialised trace.
-    """
+
+class KernelSpan:
+    """One kernel launch: wall span plus its compute/movement/stall split."""
+
+    __slots__ = (
+        "index", "name", "start", "end", "compute",
+        "stall", "copy_seconds", "copy_bytes", "causes",
+    )
+
+    def __init__(self, index: int, name: str, start: float) -> None:
+        self.index = index
+        self.name = name
+        self.start = start
+        self.end = start
+        self.compute = 0.0        # the kernel's own timing (seconds arg)
+        self.stall = 0.0          # async waits inside the span
+        self.copy_seconds = 0.0   # copies started inside the span
+        self.copy_bytes = 0
+        # root cause label -> [seconds, nbytes] for copies in this span
+        self.causes: dict[str, list[float]] = {}
+
+    @property
+    def span(self) -> float:
+        return self.end - self.start
+
+    @property
+    def movement(self) -> float:
+        """Span time not explained by the kernel's own compute/memory model."""
+        return self.span - self.compute
+
+
+class RunShape:
+    """A trace parsed into lead time, kernel spans, and inter-kernel gaps."""
+
+    def __init__(
+        self,
+        kernels: list[KernelSpan],
+        gap_causes: dict[int, dict[str, list[float]]],
+        start_ts: float,
+        end_ts: float,
+    ) -> None:
+        self.kernels = kernels
+        # Copies outside any kernel span, keyed by the index of the *next*
+        # kernel (len(kernels) = after the last one). Inter-kernel time
+        # itself is implied by consecutive span boundaries.
+        self.gap_causes = gap_causes
+        self.start_ts = start_ts
+        self.end_ts = end_ts
+
+    @property
+    def total(self) -> float:
+        return self.end_ts - self.start_ts
+
+    def gap_before(self, index: int) -> float:
+        """Virtual time between kernel ``index-1``'s end and ``index``'s start."""
+        if index == 0:
+            return self.kernels[0].start - self.start_ts if self.kernels else 0.0
+        if index >= len(self.kernels):
+            return self.end_ts - self.kernels[-1].end if self.kernels else self.total
+        return self.kernels[index].start - self.kernels[index - 1].end
+
+
+class TraceFold:
+    """Everything :func:`fold_trace` derives from one pass over a trace."""
 
     def __init__(self) -> None:
-        self._objects: dict[str, ObjectHistory] = {}
-        self._open: dict[str, ResidencyInterval] = {}  # name -> open interval
-        self._kernel_index = 0
-        self._first_ts: float | None = None
-        self._last_ts = 0.0
+        # stream ("" = untagged, always present) -> its spans and ledger
+        self.shapes: dict[str, RunShape] = {}
+        self.ledgers: dict[str, ObjectLedger] = {}
+        self.copies: dict[str, list[int]] = {}  # root cause -> [copies, bytes]
+        self.stall_seconds = 0.0
+        # (stream, object) -> stall seconds charged, in first-charge order
+        self.stall_charges: dict[tuple[str, str], float] = {}
+        # Virtual latency from a copy's root scope opening to the copy
+        # starting (non-zero under async movement), and victims per
+        # ``evictfrom`` span.
+        self.hint_to_movement = Histogram()
+        self.eviction_cascade = Histogram()
 
-    def _history(self, name: str) -> ObjectHistory:
-        history = self._objects.get(name)
-        if history is None:
-            history = self._objects[name] = ObjectHistory(name)
-        return history
+    @property
+    def streams(self) -> list[str]:
+        """The named execution streams, sorted (``[]`` for one tenant)."""
+        return sorted(name for name in self.shapes if name)
 
-    def feed(self, events: Iterable[TraceEvent]) -> "LedgerBuilder":
-        for event in events:
-            self.add(event)
-        return self
+    # -- copies by root cause --------------------------------------------------
 
-    def add(self, event: TraceEvent) -> None:
+    def movers(self) -> list[tuple[str, int, int]]:
+        """``(root cause, copies, bytes)`` rows, most bytes first."""
+        rows = [(cause, n, nbytes) for cause, (n, nbytes) in self.copies.items()]
+        return sorted(rows, key=lambda row: (-row[2], -row[1], row[0]))
+
+    @property
+    def copy_count(self) -> int:
+        return sum(copies for copies, _ in self.copies.values())
+
+    @property
+    def copy_bytes(self) -> int:
+        return sum(nbytes for _, nbytes in self.copies.values())
+
+    @property
+    def copy_attributed_fraction(self) -> float:
+        """Fraction of copied bytes carrying a root cause (1.0 if no copies)."""
+        total = self.copy_bytes
+        if total == 0:
+            return 1.0
+        unattributed = self.copies.get("", (0, 0))[1]
+        return (total - unattributed) / total
+
+    # -- stall attribution -----------------------------------------------------
+
+    def stall_report(self) -> dict[str, Any]:
+        """How much STALL time is blamed on specific (stream, object) pairs.
+
+        Stall events carry ``objects`` (the operands still in flight) and
+        ``charged`` (that stall's seconds split proportionally among them).
+        The attributed fraction is the co-location acceptance gate: it should
+        sit near 1.0 because every async wait knows exactly which copies it
+        is waiting on; it drops only for stall events emitted without
+        payload attribution (e.g. by an out-of-tree adapter).
+        """
+        total = self.stall_seconds
+        attributed = sum(self.stall_charges.values())
+        return {
+            "total_stall_seconds": total,
+            "attributed_seconds": attributed,
+            "attributed_fraction": attributed / total if total > 0 else 1.0,
+            "pairs": [
+                {"stream": stream, "object": name, "seconds": seconds}
+                for (stream, name), seconds in sorted(
+                    self.stall_charges.items(),
+                    key=lambda item: (-item[1], item[0]),
+                )
+            ],
+        }
+
+
+class _Stream:
+    """One stream's fold state: its shape and ledger, plus the open kernel
+    span and open residency intervals."""
+
+    __slots__ = ("shape", "ledger", "current", "open", "last_ts")
+
+    def __init__(self, ts: float) -> None:
+        self.shape = RunShape([], {}, ts, ts)
+        self.ledger = ObjectLedger({}, kernels=0, start_ts=ts, end_ts=ts)
+        self.current: KernelSpan | None = None
+        self.open: dict[str, ResidencyInterval] = {}  # name -> open interval
+        self.last_ts = 0.0
+
+
+def fold_trace(events: Iterable[TraceEvent]) -> TraceFold:
+    """Fold ``events`` (in emission order) into a :class:`TraceFold`.
+
+    One pass, one dispatch on ``event.kind``; ``events`` may be a one-shot
+    iterator. Spans open on ``kernel_start``, while ``Move.kernel_index``
+    counts ``kernel_end`` events. Still-open residency intervals close at
+    their stream's last timestamp. The fold keys strictly off event args
+    and attribution labels — it never needs the live objects, so it works
+    identically on a deserialised trace. Every accumulator sums in event
+    order, so the results are bit-stable.
+    """
+    fold = TraceFold()
+    streams: dict[str, _Stream] = {}
+    copies = fold.copies
+    charges = fold.stall_charges
+    stall_seconds = 0.0
+    name: str | None = None  # the stream of the previous event
+    stream: _Stream
+    for event in events:
         ts = event.ts
-        if self._first_ts is None:
-            self._first_ts = ts
-        if ts > self._last_ts:
-            self._last_ts = ts
+        if event.stream != name:
+            name = event.stream
+            stream = streams.get(name)
+            if stream is None:
+                stream = streams[name] = _Stream(ts)
+        if ts > stream.last_ts:
+            stream.last_ts = ts
         kind = event.kind
         args = event.args
-        if kind == KERNEL_END:
-            self._kernel_index += 1
-        elif kind == PLACE:
-            history = self._history(str(args.get("obj", "")))
-            history.incarnations += 1
-            nbytes = int(args.get("nbytes", 0))
-            if nbytes > history.size:
-                history.size = nbytes
-            if history.born_ts is None:
-                history.born_ts = ts
+        if kind == HINT:
+            hint = str(args.get("hint", ""))
+            obj = str(args.get("subject", ""))
+            if not obj:
+                continue
+            if hint in _USE_HINTS:
+                history = stream.ledger._history(obj)
+                history.uses += 1
+                history.bytes_used += history.size
+            elif hint == "retire":
+                history = stream.ledger._history(obj)
+                history.died_ts = ts
+                # Application-driven retire vs the executor's GC sweep: the
+                # sweep runs under a "gc" attribution scope.
+                history.death = "gc" if event.root.startswith("gc") else "retire"
+                interval = stream.open.pop(obj, None)
+                if interval is not None:
+                    interval.end = ts
         elif kind == SETPRIMARY:
-            name = str(args.get("obj", ""))
-            history = self._history(name)
+            obj = str(args.get("obj", ""))
+            history = stream.ledger._history(obj)
             nbytes = int(args.get("nbytes", 0))
             if nbytes > history.size:
                 history.size = nbytes
             device = str(args.get("device", ""))
-            open_interval = self._open.get(name)
-            if open_interval is not None:
-                if open_interval.device == device:
-                    return  # same-device re-set: not a residency change
-                open_interval.end = ts
+            interval = stream.open.get(obj)
+            if interval is not None:
+                if interval.device == device:
+                    continue  # same-device re-set: not a residency change
+                interval.end = ts
             interval = ResidencyInterval(device, ts)
-            self._open[name] = interval
+            stream.open[obj] = interval
             history.residency.append(interval)
+        elif kind == COPY_START:
+            seconds = float(args.get("seconds", 0.0))
+            nbytes = int(args.get("nbytes", 0))
+            root = event.root
+            tally = copies.get(root)
+            if tally is None:
+                tally = copies[root] = [0, 0]
+            tally[0] += 1
+            tally[1] += nbytes
+            if event.root_ts is not None:
+                fold.hint_to_movement.observe(ts - event.root_ts)
+            span = stream.current
+            if span is not None:
+                span.copy_seconds += seconds
+                span.copy_bytes += nbytes
+                causes = span.causes
+            else:
+                shape = stream.shape
+                causes = shape.gap_causes.setdefault(len(shape.kernels), {})
+            bucket = causes.setdefault(root or "unattributed", [0.0, 0.0])
+            bucket[0] += seconds
+            bucket[1] += nbytes
+        elif kind == SETDIRTY:
+            if bool(args.get("dirty", False)):
+                obj = str(args.get("obj", ""))
+                if obj:
+                    stream.ledger._history(obj).dirty_marks += 1
         elif kind in (EVICT, PREFETCH):
-            name = str(args.get("obj", ""))
-            history = self._history(name)
+            history = stream.ledger._history(str(args.get("obj", "")))
             clean = bool(args.get("clean", False))
             nbytes = int(args.get("nbytes", 0))
             history.moves.append(
@@ -395,7 +597,7 @@ class LedgerBuilder:
                     str(args.get("dst", "")),
                     nbytes,
                     clean,
-                    self._kernel_index,
+                    stream.ledger.kernels,
                     event.cause,
                     event.root,
                 )
@@ -409,58 +611,57 @@ class LedgerBuilder:
             else:
                 history.prefetches += 1
                 history.bytes_moved += nbytes
-        elif kind == HINT:
-            hint = str(args.get("hint", ""))
-            name = str(args.get("subject", ""))
-            if not name:
-                return
-            if hint in _USE_HINTS:
-                history = self._history(name)
-                history.uses += 1
-                history.bytes_used += history.size
-            elif hint == "retire":
-                history = self._history(name)
-                history.died_ts = ts
-                # Application-driven retire vs the executor's GC sweep: the
-                # sweep runs under a "gc" attribution scope.
-                history.death = (
-                    "gc" if event.root.startswith("gc") else "retire"
-                )
-                open_interval = self._open.pop(name, None)
-                if open_interval is not None:
-                    open_interval.end = ts
+        elif kind == PLACE:
+            history = stream.ledger._history(str(args.get("obj", "")))
+            history.incarnations += 1
+            nbytes = int(args.get("nbytes", 0))
+            if nbytes > history.size:
+                history.size = nbytes
+            if history.born_ts is None:
+                history.born_ts = ts
+        elif kind == KERNEL_START:
+            kernels = stream.shape.kernels
+            stream.current = KernelSpan(
+                len(kernels), str(args.get("kernel", "?")), ts
+            )
+            kernels.append(stream.current)
+        elif kind == KERNEL_END:
+            stream.ledger.kernels += 1
+            span = stream.current
+            if span is not None:
+                span.end = ts
+                span.compute = float(args.get("seconds", 0.0))
+                stream.current = None
         elif kind == STALL:
-            names = args.get("objects") or ()
-            charges = args.get("charged") or ()
-            for name, charge in zip(names, charges):
-                self._history(str(name)).stall_seconds += float(charge)
-        elif kind == SETDIRTY:
-            if bool(args.get("dirty", False)):
-                name = str(args.get("obj", ""))
-                if name:
-                    self._history(name).dirty_marks += 1
+            seconds = float(args.get("seconds", 0.0))
+            stall_seconds += seconds
+            if stream.current is not None:
+                stream.current.stall += seconds
+            objects = args.get("objects") or ()
+            charged = args.get("charged") or ()
+            for obj, charge in zip(objects, charged):
+                obj = str(obj)
+                charge = float(charge)
+                stream.ledger._history(obj).stall_seconds += charge
+                key = (name, obj)
+                charges[key] = charges.get(key, 0.0) + charge
         elif kind == DECISION:
             chosen = str(args.get("chosen", ""))
             if chosen:
-                self._history(chosen).decision_chosen += 1
+                stream.ledger._history(chosen).decision_chosen += 1
             for entry in args.get("rejected") or ():
-                name = str(entry.get("obj", "")) if isinstance(entry, dict) else ""
-                if name:
-                    self._history(name).decision_rejected += 1
-
-    def build(self) -> ObjectLedger:
-        for interval in self._open.values():
+                obj = str(entry.get("obj", "")) if isinstance(entry, dict) else ""
+                if obj:
+                    stream.ledger._history(obj).decision_rejected += 1
+        elif kind == EVICT_SCAN:
+            fold.eviction_cascade.observe(int(args.get("depth", 0)))
+    fold.stall_seconds = stall_seconds
+    streams.setdefault("", _Stream(0.0))  # a trace with no untagged events
+    for key, stream in streams.items():
+        for interval in stream.open.values():
             if interval.end is None:
-                interval.end = self._last_ts
-        self._open.clear()
-        return ObjectLedger(
-            self._objects,
-            kernels=self._kernel_index,
-            start_ts=self._first_ts if self._first_ts is not None else 0.0,
-            end_ts=self._last_ts,
-        )
-
-
-def build_ledger(events: Iterable[TraceEvent]) -> ObjectLedger:
-    """One-shot convenience: fold ``events`` and build the ledger."""
-    return LedgerBuilder().feed(events).build()
+                interval.end = stream.last_ts
+        stream.shape.end_ts = stream.ledger.end_ts = stream.last_ts
+        fold.shapes[key] = stream.shape
+        fold.ledgers[key] = stream.ledger
+    return fold

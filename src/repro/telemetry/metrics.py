@@ -2,10 +2,10 @@
 
 One :class:`MetricsRegistry` per session replaces the scattered
 ``policy_stats()`` dicts: policy counters are registry-backed (see
-:class:`~repro.policies.optimizing.PolicyStats`), the manager records
-eviction-cascade depths, and :func:`derive_metrics` rolls a finished event
-trace into movement metrics — copy bytes by cause, hint-to-movement latency
-— so reports and tests read one flat namespace.
+:class:`~repro.policies.optimizing.PolicyStats`) and the manager records
+eviction-cascade depths, so reports and tests read one flat namespace.
+Movement metrics of a finished trace (copy bytes by cause, hint-to-movement
+latency) come from :func:`repro.telemetry.ledger.fold_trace`.
 
 Labels follow the Prometheus convention: ``counter("copy_bytes",
 cause="evict")`` registers ``copy_bytes{cause=evict}``. Keys are
@@ -14,23 +14,11 @@ deterministic (labels sorted), so registry dumps are diffable.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from repro.telemetry.trace import (
-    COPY_START,
-    EVICT_SCAN,
-    TraceEvent,
-)
-
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "derive_metrics",
-    "attribute_copies",
-    "CauseBucket",
-    "Attribution",
 ]
 
 
@@ -170,95 +158,3 @@ class MetricsRegistry:
             else:
                 out[key] = metric.value
         return out
-
-
-# -- trace-derived metrics -----------------------------------------------------
-
-
-def derive_metrics(
-    events: Iterable[TraceEvent],
-    registry: MetricsRegistry | None = None,
-) -> MetricsRegistry:
-    """Roll an event trace up into movement metrics.
-
-    * ``trace.events{kind=...}`` — event counts by kind;
-    * ``trace.copy_bytes{cause=...}`` — copied bytes by *root* cause (the
-      hint/decision that ultimately triggered the copy);
-    * ``trace.hint_to_movement_seconds`` — virtual latency from the root
-      scope opening to the copy starting (non-zero under async movement);
-    * ``trace.eviction_cascade_depth`` — victims per ``evictfrom`` span.
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    for event in events:
-        registry.counter("trace.events", kind=event.kind).inc()
-        if event.kind == COPY_START:
-            cause = event.root or "unattributed"
-            nbytes = int(event.args.get("nbytes", 0))
-            registry.counter("trace.copy_bytes", cause=cause).inc(nbytes)
-            registry.counter("trace.copies", cause=cause).inc()
-            if event.root_ts is not None:
-                registry.histogram("trace.hint_to_movement_seconds").observe(
-                    event.ts - event.root_ts
-                )
-        elif event.kind == EVICT_SCAN:
-            registry.histogram("trace.eviction_cascade_depth").observe(
-                int(event.args.get("depth", 0))
-            )
-    return registry
-
-
-# -- copy attribution ----------------------------------------------------------
-
-
-class CauseBucket:
-    """Aggregated movement for one root cause."""
-
-    __slots__ = ("cause", "copies", "nbytes")
-
-    def __init__(self, cause: str) -> None:
-        self.cause = cause
-        self.copies = 0
-        self.nbytes = 0
-
-
-class Attribution:
-    """Copied bytes grouped by root cause, for the profile report."""
-
-    def __init__(self, buckets: list[CauseBucket]) -> None:
-        self.buckets = sorted(
-            buckets, key=lambda b: (-b.nbytes, -b.copies, b.cause)
-        )
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(b.nbytes for b in self.buckets)
-
-    @property
-    def total_copies(self) -> int:
-        return sum(b.copies for b in self.buckets)
-
-    @property
-    def attributed_bytes(self) -> int:
-        return sum(b.nbytes for b in self.buckets if b.cause)
-
-    @property
-    def attributed_fraction(self) -> float:
-        """Fraction of copied bytes carrying a root cause (1.0 if no copies)."""
-        total = self.total_bytes
-        if total == 0:
-            return 1.0
-        return self.attributed_bytes / total
-
-
-def attribute_copies(events: Iterable[TraceEvent]) -> Attribution:
-    """Group every copy's bytes by the root cause that triggered it."""
-    buckets: dict[str, CauseBucket] = {}
-    for event in events:
-        if event.kind != COPY_START:
-            continue
-        bucket = buckets.get(event.root)
-        if bucket is None:
-            bucket = buckets[event.root] = CauseBucket(event.root)
-        bucket.copies += 1
-        bucket.nbytes += int(event.args.get("nbytes", 0))
-    return Attribution(list(buckets.values()))

@@ -267,6 +267,54 @@ def test_explain_renders_per_stream_reports(tmp_path, capsys):
     assert attribution["pairs"][0]["object"] == "b/x"
 
 
+def _two_tenant_jsonl(path):
+    """A co-located trace: tenant a's kernel spans tenant b's."""
+    from repro.telemetry.export import write_jsonl
+    from repro.telemetry.trace import TraceEvent
+
+    events = [
+        TraceEvent(0.0, "kernel_start", {"kernel": "ka"}, stream="a"),
+        TraceEvent(1.0, "kernel_start", {"kernel": "kb"}, stream="b"),
+        TraceEvent(1.5, "kernel_end", {"kernel": "kb", "seconds": 0.5}, stream="b"),
+        TraceEvent(2.0, "kernel_end", {"kernel": "ka", "seconds": 2.0}, stream="a"),
+    ]
+    with open(path, "w", encoding="utf-8") as fp:
+        write_jsonl(events, fp)
+    return path
+
+
+def test_diff_rejects_multi_stream_traces(tiny_trace_jsonl, tmp_path, capsys):
+    colo = str(_two_tenant_jsonl(tmp_path / "colo.jsonl"))
+    assert main(["diff", str(tiny_trace_jsonl), colo]) == 2
+    err = capsys.readouterr().err
+    assert "(a, b)" in err and "explain" in err
+
+
+def test_explain_and_diff_read_each_trace_once(
+    tiny_trace_jsonl, tmp_path, monkeypatch, capsys
+):
+    from repro.telemetry import export
+
+    passes = []
+
+    class CountingStream(export.EventStream):
+        def __iter__(self):
+            passes.append(self.path)
+            return super().__iter__()
+
+    monkeypatch.setattr(export, "EventStream", CountingStream)
+    single = str(tiny_trace_jsonl)
+    colo = str(_two_tenant_jsonl(tmp_path / "colo.jsonl"))
+    assert main(["explain", single]) == 0
+    assert passes == [single]
+    passes.clear()
+    assert main(["explain", colo]) == 0
+    assert passes == [colo]
+    passes.clear()
+    assert main(["diff", single, single]) == 0
+    assert passes == [single, single]
+
+
 def test_serve_text_report(capsys):
     assert main(["serve", "--scale", "1024", "--requests", "30"]) == 0
     out = capsys.readouterr().out

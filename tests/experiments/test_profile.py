@@ -30,20 +30,22 @@ def test_unknown_model_raises():
 
 def test_profile_forces_tracing_and_moves_data(tiny_profile):
     assert tiny_profile.events, "a profile run must collect events"
-    assert tiny_profile.attribution.total_bytes > 0
+    assert tiny_profile.fold.copy_bytes > 0
     # Acceptance: >= 95% of copied bytes attribute to a causing hint,
     # eviction, or placement decision.
-    assert tiny_profile.attribution.attributed_fraction >= 0.95
+    assert tiny_profile.fold.copy_attributed_fraction >= 0.95
 
 
 def test_profile_metrics_cover_copies(tiny_profile):
-    data = tiny_profile.metrics.as_dict()
-    copy_bytes = {
-        key: value
-        for key, value in data.items()
-        if key.startswith("trace.copy_bytes{")
-    }
-    assert sum(copy_bytes.values()) == tiny_profile.attribution.total_bytes
+    # The per-cause rows account for every byte of every copy_start event.
+    copied = sum(
+        int(event.args.get("nbytes", 0))
+        for event in tiny_profile.events
+        if event.kind == "copy_start"
+    )
+    rows = tiny_profile.fold.movers()
+    assert sum(nbytes for _, _, nbytes in rows) == copied
+    assert tiny_profile.fold.copy_bytes == copied
 
 
 def test_chrome_trace_includes_counter_tracks(tiny_profile):

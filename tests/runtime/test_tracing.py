@@ -3,7 +3,7 @@
 from repro.experiments.common import ExperimentConfig, run_trace_mode
 from repro.runtime.kernel import ExecutionParams
 from repro.telemetry.export import jsonl_lines
-from repro.telemetry.metrics import attribute_copies
+from repro.telemetry.ledger import fold_trace
 from repro.telemetry.trace import (
     COPY_END,
     COPY_START,
@@ -52,10 +52,10 @@ def test_traced_run_collects_layered_events():
 
 def test_copies_carry_root_causes():
     events = run_traced().run.trace
-    attribution = attribute_copies(events)
-    assert attribution.total_copies > 0
+    fold = fold_trace(events)
+    assert fold.copy_count > 0
     # The acceptance bar: at least 95% of copied bytes trace to a cause.
-    assert attribution.attributed_fraction >= 0.95
+    assert fold.copy_attributed_fraction >= 0.95
 
 
 def test_same_run_twice_is_byte_identical():
@@ -136,10 +136,6 @@ def test_twolm_adapter_traces_allocs():
 
 
 def test_eviction_cascade_metric_derivable():
-    from repro.telemetry.metrics import derive_metrics
-
-    events = run_traced().run.trace
-    data = derive_metrics(events).as_dict()
-    cascade = data["trace.eviction_cascade_depth"]
-    assert cascade["count"] > 0
-    assert cascade["min"] >= 1
+    cascade = fold_trace(run_traced().run.trace).eviction_cascade
+    assert cascade.count > 0
+    assert cascade.minimum >= 1

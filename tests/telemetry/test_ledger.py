@@ -6,11 +6,7 @@ import pytest
 
 from repro.sim.clock import SimClock
 from repro.telemetry.export import read_jsonl, write_jsonl
-from repro.telemetry.ledger import (
-    LedgerBuilder,
-    build_ledger,
-    label_subject,
-)
+from repro.telemetry.ledger import fold_trace, label_subject
 from repro.telemetry.trace import (
     DECISION,
     EVICT,
@@ -32,6 +28,11 @@ def test_label_subject_parses_attribution_labels():
     assert label_subject("place:w0") == "w0"
     assert label_subject("gc") == ""
     assert label_subject("iter_end") == ""
+
+
+def ledger_of(events):
+    """The untagged stream's ledger, as a single-tenant trace folds."""
+    return fold_trace(events).ledgers[""]
 
 
 def synthetic_trace():
@@ -77,7 +78,7 @@ def synthetic_trace():
 
 
 def test_ledger_folds_a_lifecycle():
-    ledger = build_ledger(synthetic_trace())
+    ledger = ledger_of(synthetic_trace())
     assert ledger.kernels == 3
     history = ledger.get("a0")
     assert history is not None
@@ -97,7 +98,7 @@ def test_ledger_folds_a_lifecycle():
 
 
 def test_residency_intervals_cover_the_run():
-    ledger = build_ledger(synthetic_trace())
+    ledger = ledger_of(synthetic_trace())
     history = ledger.get("a0")
     devices = [interval.device for interval in history.residency]
     assert devices == ["DRAM", "NVRAM", "DRAM"]
@@ -111,7 +112,7 @@ def test_residency_intervals_cover_the_run():
 
 
 def test_ping_pong_detection_and_window():
-    ledger = build_ledger(synthetic_trace())
+    ledger = ledger_of(synthetic_trace())
     pongs = ledger.ping_pongs(window=8)
     assert [p.name for p in pongs] == ["a0"]
     assert pongs[0].count == 1
@@ -122,19 +123,19 @@ def test_ping_pong_detection_and_window():
 
 
 def test_movement_ratio_edge_cases():
-    ledger = build_ledger(synthetic_trace())
+    ledger = ledger_of(synthetic_trace())
     assert ledger.get("a0").movement_ratio == pytest.approx(1.0)
     # An object moved but never used has no meaningful denominator.
     clock = SimClock()
     tracer = Tracer(clock)
     tracer.emit(PLACE, obj="x", device="DRAM", nbytes=10)
     tracer.emit(EVICT, obj="x", src="DRAM", dst="NVRAM", nbytes=10, clean=False)
-    history = build_ledger(tracer.events).get("x")
+    history = ledger_of(tracer.events).get("x")
     assert history.movement_ratio == float("inf")
     # And an untouched object is simply 0.
     tracer2 = Tracer(SimClock())
     tracer2.emit(PLACE, obj="y", device="DRAM", nbytes=10)
-    assert build_ledger(tracer2.events).get("y").movement_ratio == 0.0
+    assert ledger_of(tracer2.events).get("y").movement_ratio == 0.0
 
 
 def test_clean_evictions_move_no_bytes():
@@ -142,7 +143,7 @@ def test_clean_evictions_move_no_bytes():
     tracer = Tracer(clock)
     tracer.emit(PLACE, obj="x", device="DRAM", nbytes=10)
     tracer.emit(EVICT, obj="x", src="DRAM", dst="NVRAM", nbytes=10, clean=True)
-    history = build_ledger(tracer.events).get("x")
+    history = ledger_of(tracer.events).get("x")
     assert history.evictions == 1
     assert history.clean_evictions == 1
     assert history.bytes_moved == 0
@@ -154,7 +155,7 @@ def test_gc_death_is_distinguished_from_retire():
     tracer.emit(PLACE, obj="x", device="DRAM", nbytes=10)
     with tracer.scope("gc"):
         tracer.emit(HINT, hint="retire", subject="x")
-    assert build_ledger(tracer.events).get("x").death == "gc"
+    assert ledger_of(tracer.events).get("x").death == "gc"
 
 
 def test_incarnations_count_name_reuse():
@@ -163,7 +164,7 @@ def test_incarnations_count_name_reuse():
     for _ in range(3):
         tracer.emit(PLACE, obj="a1", device="DRAM", nbytes=10)
         tracer.emit(HINT, hint="retire", subject="a1")
-    history = build_ledger(tracer.events).get("a1")
+    history = ledger_of(tracer.events).get("a1")
     assert history.incarnations == 3
 
 
@@ -174,22 +175,20 @@ def test_ledger_identical_from_live_and_deserialised_events():
     buffer.seek(0)
     reloaded = read_jsonl(buffer)
     assert (
-        build_ledger(events).to_json() == build_ledger(reloaded).to_json()
+        ledger_of(events).to_json() == ledger_of(reloaded).to_json()
     )
 
 
 def test_builder_is_incremental():
+    # The fold is one pass: a one-shot iterator folds like the list.
     events = synthetic_trace()
-    builder = LedgerBuilder()
-    for event in events:
-        builder.add(event)
-    assert builder.build().to_json() == build_ledger(events).to_json()
+    assert ledger_of(iter(events)).to_json() == ledger_of(events).to_json()
 
 
 def test_to_json_is_serialisable_and_sorted():
     import json
 
-    ledger = build_ledger(synthetic_trace())
+    ledger = ledger_of(synthetic_trace())
     data = json.loads(json.dumps(ledger.to_json()))
     assert list(data["objects"]) == sorted(data["objects"])
     assert data["churn"]["evictions"] == 1

@@ -1,12 +1,9 @@
-"""Metrics registry and trace-derived movement metrics."""
+"""Metrics registry and trace-derived movement metrics (from the fold)."""
 
 import pytest
 
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    attribute_copies,
-    derive_metrics,
-)
+from repro.telemetry.ledger import fold_trace
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import COPY_START, EVICT_SCAN, HINT, TraceEvent
 
 
@@ -55,15 +52,15 @@ def test_derive_metrics_rolls_up_copies():
         _copy(2.0, 50),  # unattributed
         TraceEvent(3.0, EVICT_SCAN, {"depth": 3}),
     ]
-    data = derive_metrics(events).as_dict()
-    assert data["trace.events{kind=copy_start}"] == 3
-    assert data["trace.copy_bytes{cause=hint:will_write:a}"] == 400
-    assert data["trace.copy_bytes{cause=unattributed}"] == 50
-    assert data["trace.copies{cause=hint:will_write:a}"] == 2
-    latency = data["trace.hint_to_movement_seconds"]
-    assert latency["count"] == 2
-    assert latency["max"] == pytest.approx(0.6)
-    assert data["trace.eviction_cascade_depth"]["max"] == 3
+    fold = fold_trace(events)
+    assert fold.copy_count == 3
+    assert fold.copies["hint:will_write:a"][1] == 400
+    assert fold.copies[""][1] == 50  # unattributed
+    assert fold.copies["hint:will_write:a"][0] == 2
+    latency = fold.hint_to_movement
+    assert latency.count == 2
+    assert latency.maximum == pytest.approx(0.6)
+    assert fold.eviction_cascade.maximum == 3
 
 
 def test_attribute_copies_buckets_and_fraction():
@@ -72,19 +69,20 @@ def test_attribute_copies_buckets_and_fraction():
         _copy(1.0, 200, root="evict:a3", root_ts=0.9),
         _copy(2.0, 100, root="hint:will_read:b", root_ts=2.0),
     ]
-    attribution = attribute_copies(events)
-    assert attribution.total_bytes == 1000
-    assert attribution.total_copies == 3
-    assert attribution.attributed_fraction == pytest.approx(1.0)
-    assert attribution.buckets[0].cause == "evict:a3"
-    assert attribution.buckets[0].nbytes == 900
+    fold = fold_trace(events)
+    assert fold.copy_bytes == 1000
+    assert fold.copy_count == 3
+    assert fold.copy_attributed_fraction == pytest.approx(1.0)
+    cause, _, nbytes = fold.movers()[0]
+    assert cause == "evict:a3"
+    assert nbytes == 900
 
 
 def test_attribution_counts_unattributed():
-    attribution = attribute_copies([_copy(0.0, 60), _copy(1.0, 40, root="gc")])
-    assert attribution.attributed_fraction == pytest.approx(0.4)
+    fold = fold_trace([_copy(0.0, 60), _copy(1.0, 40, root="gc")])
+    assert fold.copy_attributed_fraction == pytest.approx(0.4)
     # No copies at all means nothing is unattributed.
-    assert attribute_copies([]).attributed_fraction == 1.0
+    assert fold_trace([]).copy_attributed_fraction == 1.0
 
 
 def test_registry_reset_zeroes_in_place():

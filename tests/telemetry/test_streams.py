@@ -2,7 +2,7 @@
 
 import io
 
-from repro.telemetry.diff import parse_run, stall_attribution, streams_in
+from repro.telemetry.ledger import fold_trace
 from repro.telemetry.export import read_jsonl, to_chrome_trace, write_jsonl
 from repro.telemetry.trace import TraceEvent
 
@@ -44,8 +44,8 @@ class TestStreamField:
             TraceEvent(3.0, "alloc", {}),
             TraceEvent(4.0, "alloc", {}, stream="a"),
         ]
-        assert streams_in(events) == ["a", "b"]
-        assert streams_in([TraceEvent(1.0, "alloc", {})]) == []
+        assert fold_trace(events).streams == ["a", "b"]
+        assert fold_trace([TraceEvent(1.0, "alloc", {})]).streams == []
 
 
 class TestStallAttribution:
@@ -74,7 +74,7 @@ class TestStallAttribution:
                 stream="b",
             ),
         ]
-        report = stall_attribution(events)
+        report = fold_trace(events).stall_report()
         assert report["total_stall_seconds"] == 4.0
         assert report["attributed_seconds"] == 4.0
         assert report["attributed_fraction"] == 1.0
@@ -101,11 +101,11 @@ class TestStallAttribution:
                 stream="a",
             ),
         ]
-        report = stall_attribution(events)
+        report = fold_trace(events).stall_report()
         assert report["attributed_fraction"] == 0.5
 
     def test_no_stalls_is_fully_attributed(self):
-        report = stall_attribution([TraceEvent(1.0, "alloc", {})])
+        report = fold_trace([TraceEvent(1.0, "alloc", {})]).stall_report()
         assert report["total_stall_seconds"] == 0.0
         assert report["attributed_fraction"] == 1.0
         assert report["pairs"] == []
@@ -120,10 +120,11 @@ class TestPerStreamParsing:
             + kernel_pair("b", "kb", 1.0, 0.5)
             + kernel_pair("a", "ka", 0.0, 2.0)[1:]
         )
-        run_a = parse_run(events, stream="a")
+        fold = fold_trace(events)
+        run_a = fold.shapes["a"]
         assert [k.name for k in run_a.kernels] == ["ka"]
         assert run_a.kernels[0].end - run_a.kernels[0].start == 2.0
-        run_b = parse_run(events, stream="b")
+        run_b = fold.shapes["b"]
         assert [k.name for k in run_b.kernels] == ["kb"]
 
     def test_chrome_trace_gets_per_stream_kernel_lanes(self):

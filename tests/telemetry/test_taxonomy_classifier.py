@@ -9,7 +9,7 @@ confirm the ledger and monitor evidence the taxonomy report leans on.
 import pytest
 
 from repro.experiments.common import ExperimentConfig, run_trace_mode
-from repro.telemetry.ledger import build_ledger
+from repro.telemetry.ledger import fold_trace
 from repro.telemetry.monitor import MonitorConfig, RuntimeMonitor
 from repro.telemetry.taxonomy import (
     CAPACITY_KINDS,
@@ -316,7 +316,7 @@ class TestOnRealWorkloads:
 
     def test_ledger_movement_ratio_on_the_tiny_object_pool(self, tiny_run):
         result, _ = tiny_run
-        ledger = build_ledger(result.run.trace)
+        ledger = fold_trace(result.run.trace).ledgers[""]
         intensity = movement_intensity(ledger)
         assert intensity is not None and intensity > 0.0
         moved = [h for h in ledger.objects.values() if h.bytes_moved > 0]
@@ -336,7 +336,7 @@ class TestOnRealWorkloads:
         config = ExperimentConfig(scale=2048, iterations=2, tracing=True)
         trace = pointer_chase_trace().scaled(2048)
         result = run_trace_mode(trace, "CA:LM", config)
-        ledger = build_ledger(result.run.trace)
+        ledger = fold_trace(result.run.trace).ledgers[""]
         assert ledger.ping_pongs() == []
         assert movement_intensity(ledger) == pytest.approx(0.0)
         t = classify_trace(result.run.trace, CostModel.from_config(config))
